@@ -61,7 +61,7 @@ double skip_rate(const VM1OptStats& s) {
 
 double frames_per_window(const VM1OptStats& s) {
   return s.windows > 0
-             ? static_cast<double>(s.remote_frames_sent) / s.windows
+             ? static_cast<double>(s.remote.frames_sent) / s.windows
              : 0.0;
 }
 
@@ -238,7 +238,7 @@ int main() {
                         coord ? &*coord : nullptr);
     if (ref_objective == 0) {
       ref_objective = r.stats.final.value;
-    } else if (r.stats.remote_local_fallbacks == 0 &&
+    } else if (r.stats.remote.local_fallbacks == 0 &&
                r.stats.final.value != ref_objective) {
       std::fprintf(stderr,
                    "FAIL: %s objective %.17g != reference %.17g — the cache "
@@ -268,12 +268,12 @@ int main() {
     jw.field("cache_stores", r.stats.cache_stores);
     jw.field("skipped", r.stats.skipped);
     jw.field("skip_rate", skip_rate(r.stats));
-    jw.field("remote_cache_queries", r.stats.remote_cache_queries);
-    jw.field("remote_cache_query_hits", r.stats.remote_cache_query_hits);
-    jw.field("remote_frames_sent", r.stats.remote_frames_sent);
-    jw.field("remote_frames_received", r.stats.remote_frames_received);
+    jw.field("remote_cache_queries", r.stats.remote.cache_queries);
+    jw.field("remote_cache_query_hits", r.stats.remote.cache_query_hits);
+    jw.field("remote_frames_sent", r.stats.remote.frames_sent);
+    jw.field("remote_frames_received", r.stats.remote.frames_received);
     jw.field("frames_per_window", frames_per_window(r.stats));
-    jw.field("wire_bytes_sent", r.stats.wire_bytes_sent);
+    jw.field("wire_bytes_sent", r.stats.remote.bytes_sent);
     jw.end_object();
   }
   jw.end_array();

@@ -100,13 +100,13 @@ int quick_smoke(double scale) {
                  ps.final.value, ts.final.value);
     rc = 1;
   }
-  if (ps.remote_retries != 0 || ps.remote_local_fallbacks != 0 ||
-      ps.worker_restarts != 0) {
+  if (ps.remote.retries != 0 || ps.remote.local_fallbacks != 0 ||
+      ps.remote.worker_restarts != 0) {
     std::fprintf(stderr,
                  "FAIL: supervision not silent on a healthy fleet "
                  "(retries %ld, fallbacks %ld, restarts %ld)\n",
-                 ps.remote_retries, ps.remote_local_fallbacks,
-                 ps.worker_restarts);
+                 ps.remote.retries, ps.remote.local_fallbacks,
+                 ps.remote.worker_restarts);
     rc = 1;
   }
   if (ratio > 1.0 + budget) {
@@ -187,7 +187,7 @@ int main() {
     if (c.backend == DistBackend::kThreads) {
       threads_wall = wall;
       threads_objective = s.final.value;
-    } else if (s.remote_local_fallbacks == 0 &&
+    } else if (s.remote.local_fallbacks == 0 &&
                s.final.value != threads_objective) {
       // Bit-identity check, live in Release builds (the dist test suite
       // proves the full placement vector; the bench stays self-validating).
@@ -198,10 +198,10 @@ int main() {
       return 1;
     }
 
-    double mb_tx = static_cast<double>(s.wire_bytes_sent) / (1024.0 * 1024.0);
+    double mb_tx = static_cast<double>(s.remote.bytes_sent) / (1024.0 * 1024.0);
     t.add_row({c.name, fmt(wall, 2), fmt(threads_wall / wall, 2),
-               fmt(s.final.value, 1), fmt(s.remote_replies, 0),
-               fmt(s.remote_retries, 0), fmt(ser ? ser->sum * 1e3 : 0, 1),
+               fmt(s.final.value, 1), fmt(s.remote.replies, 0),
+               fmt(s.remote.retries, 0), fmt(ser ? ser->sum * 1e3 : 0, 1),
                fmt(des ? des->sum * 1e3 : 0, 1),
                fmt(rpc ? rpc->p50 * 1e3 : 0, 1),
                fmt(rpc ? rpc->p95 * 1e3 : 0, 1), fmt(mb_tx, 2)});
@@ -214,14 +214,14 @@ int main() {
     jw.field("objective", s.final.value);
     jw.field("hpwl", s.final.hpwl);
     jw.field("windows", s.windows);
-    jw.field("remote_requests", s.remote_requests);
-    jw.field("remote_replies", s.remote_replies);
-    jw.field("remote_retries", s.remote_retries);
-    jw.field("remote_timeouts", s.remote_timeouts);
-    jw.field("remote_local_fallbacks", s.remote_local_fallbacks);
-    jw.field("worker_restarts", s.worker_restarts);
-    jw.field("wire_bytes_sent", s.wire_bytes_sent);
-    jw.field("wire_bytes_received", s.wire_bytes_received);
+    jw.field("remote_requests", s.remote.requests);
+    jw.field("remote_replies", s.remote.replies);
+    jw.field("remote_retries", s.remote.retries);
+    jw.field("remote_timeouts", s.remote.timeouts);
+    jw.field("remote_local_fallbacks", s.remote.local_fallbacks);
+    jw.field("worker_restarts", s.remote.worker_restarts);
+    jw.field("wire_bytes_sent", s.remote.bytes_sent);
+    jw.field("wire_bytes_received", s.remote.bytes_received);
     jw.field("serialize_sec_sum", ser ? ser->sum : 0.0);
     jw.field("deserialize_sec_sum", des ? des->sum : 0.0);
     jw.field("rpc_count", rpc ? static_cast<long>(rpc->count) : 0L);

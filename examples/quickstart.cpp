@@ -127,10 +127,10 @@ int main(int argc, char** argv) {
   if (flow.vm1.backend == DistBackend::kProcesses) {
     std::printf("dist: %ld RPCs (%ld retries, %ld timeouts, %ld local "
                 "fallbacks, %ld restarts), %.1f KB sent / %.1f KB received\n",
-                r.opt.remote_replies, r.opt.remote_retries,
-                r.opt.remote_timeouts, r.opt.remote_local_fallbacks,
-                r.opt.worker_restarts, r.opt.wire_bytes_sent / 1024.0,
-                r.opt.wire_bytes_received / 1024.0);
+                r.opt.remote.replies, r.opt.remote.retries,
+                r.opt.remote.timeouts, r.opt.remote.local_fallbacks,
+                r.opt.remote.worker_restarts, r.opt.remote.bytes_sent / 1024.0,
+                r.opt.remote.bytes_received / 1024.0);
   }
   if (!cache_dir.empty()) {
     std::printf("cache: %ld hits, %ld stores, %ld windows served remotely "

@@ -171,27 +171,6 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
   // race with another job's batch, and its O(design) digest per batch
   // would dominate small batches anyway.
   const bool fleet = coord && opts.fleet_token != 0;
-  dist::CoordinatorStats fleet_stats;  // per-batch take_stats, accumulated
-  auto accumulate_fleet = [&fleet_stats](const dist::CoordinatorStats& cs) {
-    fleet_stats.requests += cs.requests;
-    fleet_stats.replies += cs.replies;
-    fleet_stats.retries += cs.retries;
-    fleet_stats.timeouts += cs.timeouts;
-    fleet_stats.desyncs += cs.desyncs;
-    fleet_stats.local_fallbacks += cs.local_fallbacks;
-    fleet_stats.worker_restarts += cs.worker_restarts;
-    fleet_stats.connect_failures += cs.connect_failures;
-    fleet_stats.heartbeats_missed += cs.heartbeats_missed;
-    fleet_stats.bytes_sent += cs.bytes_sent;
-    fleet_stats.bytes_received += cs.bytes_received;
-    fleet_stats.bytes_retransmitted += cs.bytes_retransmitted;
-    fleet_stats.bytes_dropped += cs.bytes_dropped;
-    fleet_stats.faults_scheduled += cs.faults_scheduled;
-    fleet_stats.cache_queries += cs.cache_queries;
-    fleet_stats.cache_query_hits += cs.cache_query_hits;
-    fleet_stats.frames_sent += cs.frames_sent;
-    fleet_stats.frames_received += cs.frames_received;
-  };
   if (coord && !fleet) coord->begin_pass(d);
 
   // Pass-level cancellation token: set by the deadline, by an external
@@ -534,12 +513,16 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
         continue;
       }
       ++stats.windows;
-      stats.total_nodes += job->out.nodes;
-      stats.total_lp_iters += job->out.lp_iterations;
-      stats.dual_pivots += job->out.dual_pivots;
-      stats.warm_solves += job->out.warm_solves;
-      stats.cold_restarts += job->out.cold_restarts;
-      stats.rc_fixed += job->out.rc_fixed;
+      // A fleet-memo replay carries the original solve's work counts, but
+      // no MILP ran in this pass — count it like a store-served window.
+      if (!job->cached_remote) {
+        stats.total_nodes += job->out.nodes;
+        stats.total_lp_iters += job->out.lp_iterations;
+        stats.dual_pivots += job->out.dual_pivots;
+        stats.warm_solves += job->out.warm_solves;
+        stats.cold_restarts += job->out.cold_restarts;
+        stats.rc_fixed += job->out.rc_fixed;
+      }
       if (job->out.has_solution) ++stats.windows_solved;
 
       const std::vector<Placement>* sol = nullptr;
@@ -661,35 +644,13 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
     }
 
     if (coord) coord->sync(batch_changed);
-    if (fleet) accumulate_fleet(coord->take_stats());
+    // A shared coordinator's counters are only this job's inside the gate.
+    if (fleet) stats.remote += coord->take_stats();
   }
 
-  if (coord) {
-    dist::CoordinatorStats cs;
-    if (fleet) {
-      cs = fleet_stats;
-    } else {
-      coord->end_pass(d);
-      cs = coord->take_stats();
-    }
-    stats.remote_requests = cs.requests;
-    stats.remote_replies = cs.replies;
-    stats.remote_retries = cs.retries;
-    stats.remote_timeouts = cs.timeouts;
-    stats.remote_desyncs = cs.desyncs;
-    stats.remote_local_fallbacks = cs.local_fallbacks;
-    stats.worker_restarts = cs.worker_restarts;
-    stats.remote_connect_failures = cs.connect_failures;
-    stats.remote_heartbeats_missed = cs.heartbeats_missed;
-    stats.wire_bytes_sent = cs.bytes_sent;
-    stats.wire_bytes_received = cs.bytes_received;
-    stats.wire_bytes_retransmitted = cs.bytes_retransmitted;
-    stats.wire_bytes_dropped = cs.bytes_dropped;
-    stats.remote_faults_scheduled = cs.faults_scheduled;
-    stats.remote_cache_queries = cs.cache_queries;
-    stats.remote_cache_query_hits = cs.cache_query_hits;
-    stats.remote_frames_sent = cs.frames_sent;
-    stats.remote_frames_received = cs.frames_received;
+  if (coord && !fleet) {
+    coord->end_pass(d);
+    stats.remote = coord->take_stats();
   }
 
   if (inc) {

@@ -21,6 +21,7 @@
 #include <cstdint>
 
 #include "core/milp_builder.h"
+#include "dist/coordinator_stats.h"
 #include "milp/branch_and_bound.h"
 #include "util/thread_pool.h"
 
@@ -179,30 +180,9 @@ struct DistOptStats {
   /// (replays included), so vm1opt's zero-change early exit is
   /// mode-independent.
   int cells_changed = 0;
-  // Distributed-backend transport counters (all zero for the threads
-  // backend), folded from the coordinator at the end of the pass.
-  long remote_requests = 0;  ///< request frames sent (incl. retries)
-  long remote_replies = 0;   ///< well-formed worker replies accepted
-  long remote_retries = 0;   ///< windows re-queued after a failed attempt
-  long remote_timeouts = 0;  ///< per-request deadlines that fired
-  long remote_desyncs = 0;   ///< replica desyncs (rebind + retry)
-  long remote_local_fallbacks = 0;  ///< windows solved coordinator-side
-  long worker_restarts = 0;  ///< workers respawned after dying
-  long remote_connect_failures = 0;   ///< failed worker establishes
-  long remote_heartbeats_missed = 0;  ///< pings that never saw a pong
-  long wire_bytes_sent = 0;      ///< bytes actually handed to the kernel
-  long wire_bytes_received = 0;
-  long wire_bytes_retransmitted = 0;  ///< sent bytes spent on retries
-  long wire_bytes_dropped = 0;   ///< unsent tails of mid-frame failures
-  /// Transport drills scheduled for this pass's windows (see
-  /// CoordinatorStats::faults_scheduled): timing-invariant, unlike the
-  /// per-drill counters above.
-  long remote_faults_scheduled = 0;
-  // Cache-aware dispatch counters (processes backend only).
-  long remote_cache_queries = 0;    ///< signatures probed via kCacheQuery
-  long remote_cache_query_hits = 0; ///< probes a worker answered with a hit
-  long remote_frames_sent = 0;      ///< frames the coordinator wrote
-  long remote_frames_received = 0;  ///< frames the coordinator parsed
+  /// This pass's distributed-backend transport counters (all zero for the
+  /// threads backend).
+  dist::CoordinatorStats remote;
   double objective = 0;      ///< full-design objective after this DistOpt
   double seconds = 0;
 

@@ -101,24 +101,7 @@ VM1OptStats vm1opt(Design& d, const VM1OptOptions& opts) {
     stats.cache_hits += s.cache_hits;
     stats.cache_stores += s.cache_stores;
     stats.memo_evictions += s.memo_evictions;
-    stats.remote_requests += s.remote_requests;
-    stats.remote_replies += s.remote_replies;
-    stats.remote_retries += s.remote_retries;
-    stats.remote_timeouts += s.remote_timeouts;
-    stats.remote_desyncs += s.remote_desyncs;
-    stats.remote_local_fallbacks += s.remote_local_fallbacks;
-    stats.worker_restarts += s.worker_restarts;
-    stats.remote_connect_failures += s.remote_connect_failures;
-    stats.remote_heartbeats_missed += s.remote_heartbeats_missed;
-    stats.wire_bytes_sent += s.wire_bytes_sent;
-    stats.wire_bytes_received += s.wire_bytes_received;
-    stats.wire_bytes_retransmitted += s.wire_bytes_retransmitted;
-    stats.wire_bytes_dropped += s.wire_bytes_dropped;
-    stats.remote_faults_scheduled += s.remote_faults_scheduled;
-    stats.remote_cache_queries += s.remote_cache_queries;
-    stats.remote_cache_query_hits += s.remote_cache_query_hits;
-    stats.remote_frames_sent += s.remote_frames_sent;
-    stats.remote_frames_received += s.remote_frames_received;
+    stats.remote += s.remote;
   };
   auto cancelled = [&opts] {
     return opts.cancel && opts.cancel->load(std::memory_order_relaxed);

@@ -128,29 +128,10 @@ struct VM1OptStats {
   long cache_hits = 0;       ///< tier-2 hits replayed without solving
   long cache_stores = 0;     ///< memoized solves written through to tier 2
   long memo_evictions = 0;   ///< tier-1 memo entries evicted (capacity)
-  // Distributed-backend transport counters, aggregated over every pass
-  // (all zero for the threads backend).
-  long remote_requests = 0;
-  long remote_replies = 0;
-  long remote_retries = 0;
-  long remote_timeouts = 0;
-  long remote_desyncs = 0;
-  long remote_local_fallbacks = 0;
-  long worker_restarts = 0;
-  long remote_connect_failures = 0;
-  long remote_heartbeats_missed = 0;
-  long wire_bytes_sent = 0;
-  long wire_bytes_received = 0;
-  long wire_bytes_retransmitted = 0;
-  long wire_bytes_dropped = 0;
-  long remote_faults_scheduled = 0;  ///< timing-invariant drill census
-  // Cache-aware dispatch (src/cache + dist::Coordinator remote_cache /
-  // coalesce): probe volume and frame economy. frames-per-window =
-  // remote_frames_sent / windows, the quantity coalescing drives < 1.0.
-  long remote_cache_queries = 0;     ///< signatures probed via kCacheQuery
-  long remote_cache_query_hits = 0;  ///< probes answered with a hit
-  long remote_frames_sent = 0;       ///< wire frames the coordinator wrote
-  long remote_frames_received = 0;   ///< wire frames the coordinator parsed
+  /// Distributed-backend transport counters summed over every pass (all
+  /// zero for the threads backend). frames-per-window =
+  /// remote.frames_sent / windows, the quantity coalescing drives < 1.0.
+  dist::CoordinatorStats remote;
   /// True when a parameter set's inner loop exited because a full
   /// move+flip iteration changed zero cells (sweep-level early
   /// termination), rather than via theta or max_inner_iters.

@@ -137,9 +137,9 @@ struct Coordinator::Slot {
   bool restart = false;     ///< next successful establish is a restart
   std::vector<std::uint8_t> rbuf;
   /// Windows awaiting this worker's answer, keyed by request id: one entry
-  /// per embedded request of the in-flight frame (a single kRequest, or a
-  /// coalesced kRequestBatch). At most one frame is ever in flight per
-  /// worker, so `deadline` below covers the whole vector.
+  /// per embedded request of the in-flight kRequestBatch. At most one
+  /// frame is ever in flight per worker, so `deadline` below covers the
+  /// whole vector.
   std::vector<std::pair<std::uint64_t, Pending*>> inflight;
   double sent_at = 0;
   double deadline = 0;
@@ -729,90 +729,13 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
     }
     if (remaining == 0) break;
 
-    // Dispatch: one frame in flight per worker — a single kRequest
-    // (coalesce == 1, the bit-exact historical path) or a kRequestBatch of
-    // up to `coalesce` cache-missing windows.
+    // Dispatch: one kRequestBatch frame in flight per worker, carrying up
+    // to `coalesce` cache-missing windows (a batch of one by default). The
+    // pre-send drills run per window as it joins the chunk.
     for (Slot& slot : slots_) {
       if (queue.empty()) break;
       if (!slot.inflight.empty()) continue;
       if (!ensure_worker(slot)) continue;
-      if (opts_.coalesce <= 1) {
-        Pending* p = queue.front();
-        queue.pop_front();
-        if (fault_on && fault::should_fire(fault::Site::kConnectRefused,
-                                           p->rj->job->key)) {
-          // Unlike connect_timeout, a refusal discredits the connection:
-          // tear it down so the next dispatch has to re-establish. Checked
-          // before connect_timeout so a key firing both still exercises the
-          // teardown path (the timeout drill has no side effects to shadow).
-          log_warn("dist: injected connect_refused, window ",
-                   p->rj->job->widx);
-          ++stats_.connect_failures;
-          metrics().connect_failures.add();
-          worker_died(slot, "injected connect refused");
-          fail_attempt(p);
-          continue;
-        }
-        if (fault_on && fault::should_fire(fault::Site::kConnectTimeout,
-                                           p->rj->job->key)) {
-          log_warn("dist: injected connect_timeout, window ",
-                   p->rj->job->widx);
-          fail_attempt(p);
-          continue;
-        }
-        if (!bind_if_stale(slot, d)) {
-          fail_attempt(p);
-          continue;
-        }
-        WireRequest rq;
-        rq.req_id = ++seq_;
-        rq.job = *p->rj->job;
-        rq.greedy_fallback = p->rj->greedy_fallback;
-        rq.sig_mip = p->rj->sig_mip;
-        rq.faults = fault::config();
-        rq.expected_sig = p->rj->expected_sig;
-        std::vector<std::uint8_t> frame;
-        {
-          obs::ScopedTimer t(metrics().serialize_sec);
-          frame = encode_frame(MsgType::kRequest, encode_request(rq));
-        }
-        if (fault_on && fault::should_fire(fault::Site::kPartition,
-                                           p->rj->job->key)) {
-          // Mid-frame partition: half the request leaves, the link dies.
-          // The worker sees a truncated frame then EOF; we account the
-          // stranded tail as dropped and retry elsewhere.
-          std::size_t half = frame.size() / 2;
-          std::size_t written = slot.conn->write_all(frame.data(), half);
-          stats_.bytes_sent += static_cast<long>(written);
-          metrics().bytes_sent.add(static_cast<long>(written));
-          stats_.bytes_dropped += static_cast<long>(frame.size() - written);
-          metrics().bytes_dropped.add(
-              static_cast<long>(frame.size() - written));
-          log_warn("dist: injected partition, window ", p->rj->job->widx);
-          worker_died(slot, "injected mid-frame partition");
-          fail_attempt(p);
-          continue;
-        }
-        if (p->attempts > 0) {
-          stats_.bytes_retransmitted += static_cast<long>(frame.size());
-          metrics().bytes_retransmitted.add(static_cast<long>(frame.size()));
-        }
-        if (!send_frame_to(slot, std::move(frame))) {
-          fail_attempt(p);
-          continue;
-        }
-        ++stats_.requests;
-        metrics().requests.add();
-        slot.inflight.push_back({rq.req_id, p});
-        slot.sent_at = clock_.seconds();
-        slot.deadline =
-            slot.sent_at + p->rj->job->mip.time_limit_sec +
-            opts_.request_timeout_sec;
-        continue;
-      }
-
-      // Coalesced dispatch: pop up to `coalesce` windows, running the same
-      // pre-send drills per window the single path runs.
       std::vector<Pending*> chunk;
       bool slot_down = false;
       while (!queue.empty() &&
@@ -821,6 +744,10 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
         queue.pop_front();
         if (fault_on && fault::should_fire(fault::Site::kConnectRefused,
                                            p->rj->job->key)) {
+          // Unlike connect_timeout, a refusal discredits the connection:
+          // tear it down so the next dispatch has to re-establish. Checked
+          // before connect_timeout so a key firing both still exercises the
+          // teardown path (the timeout drill has no side effects to shadow).
           log_warn("dist: injected connect_refused, window ",
                    p->rj->job->widx);
           ++stats_.connect_failures;
@@ -884,8 +811,9 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
         }
       }
       if (partition) {
-        // Any scheduled partition kills the shared frame: every window in
-        // the chunk shares the fate the single path gives one window.
+        // Mid-frame partition: half the frame leaves, the link dies. The
+        // worker sees a truncated frame then EOF; the stranded tail is
+        // accounted as dropped and every window in the chunk is retried.
         std::size_t half = frame.size() / 2;
         std::size_t written = slot.conn->write_all(frame.data(), half);
         stats_.bytes_sent += static_cast<long>(written);
@@ -1005,29 +933,7 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
         std::optional<Frame> f;
         while (slot.alive && (f = extract_frame(slot.rbuf))) {
           ++stats_.frames_received;
-          if (f->type == MsgType::kReply) {
-            WireReply rp;
-            try {
-              obs::ScopedTimer t(metrics().deserialize_sec);
-              rp = decode_reply(f->payload);
-            } catch (const WireError& e) {
-              // Checksummed frame that fails decode: encoder/version bug,
-              // not line noise — but still a malformed reply. Retry, then
-              // local.
-              log_warn("dist: malformed reply: ", e.what());
-              fail_all_inflight(slot);
-              continue;
-            }
-            Pending* p = take_inflight(slot, rp.req_id);
-            if (!p) continue;  // stale
-            metrics().rpc_sec.observe(clock_.seconds() - slot.sent_at);
-            ++stats_.replies;
-            metrics().replies.add();
-            *p->rj->result = std::move(rp.result);
-            p->done = true;
-            --remaining;
-            note_success(slot);
-          } else if (f->type == MsgType::kReplyBatch) {
+          if (f->type == MsgType::kReplyBatch) {
             WireReplyBatch rb;
             try {
               obs::ScopedTimer t(metrics().deserialize_sec);
@@ -1072,23 +978,12 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
           } else if (f->type == MsgType::kPong) {
             handle_pong(slot, decode_ping(f->payload).seq);
           } else if (f->type == MsgType::kError) {
+            // Per-window errors travel as batch entries; a top-level error
+            // rejects the whole frame (undecodable batch, bad snapshot).
             WireErrorMsg e = decode_error(f->payload);
-            if (e.code == ErrorCode::kDesync) {
-              ++stats_.desyncs;
-              metrics().desyncs.add();
-              slot.current = false;  // next dispatch rebinds the replica
-            } else {
-              log_warn("dist: worker error (", static_cast<int>(e.code),
-                       "): ", e.message);
-            }
-            // A top-level error names one request when it can (desync,
-            // bad request); an unattributable one fails the whole frame.
-            Pending* p = take_inflight(slot, e.req_id);
-            if (p) {
-              fail_attempt(p);
-            } else {
-              fail_all_inflight(slot);
-            }
+            log_warn("dist: worker error (", static_cast<int>(e.code),
+                     "): ", e.message);
+            fail_all_inflight(slot);
           } else if (f->type == MsgType::kHello) {
             // Duplicate hello after an internal restart: harmless.
           } else {

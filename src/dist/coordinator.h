@@ -6,8 +6,9 @@
 /// attach to the coordinator's listener (dist/tcp.h). Keeps a full design
 /// replica bound on every worker (kBindDesign on first use / staleness,
 /// kSync placement deltas after every batch), and dispatches prepared
-/// WindowSolveJobs with one request in flight per worker — the bounded
-/// in-flight queue that keeps a request's deadline meaningful.
+/// WindowSolveJobs as kRequestBatch frames of up to `coalesce` windows,
+/// with one frame in flight per worker — the bounded in-flight queue that
+/// keeps a request's deadline meaningful.
 ///
 /// Supervision (see DESIGN.md "Distributed window solving"):
 ///
@@ -41,6 +42,7 @@
 
 #include "core/incremental.h"
 #include "core/window_solve.h"
+#include "dist/coordinator_stats.h"
 #include "dist/transport.h"
 #include "util/logging.h"
 
@@ -105,50 +107,13 @@ struct CoordinatorOptions {
   /// any request is built. Probes never establish workers (a cold fleet
   /// has cold memos) and a silent probe simply counts as all-miss.
   bool remote_cache = true;
-  /// Jobs coalesced per kRequestBatch frame. 1 (the default) keeps the
-  /// original one-kRequest-per-frame dispatch bit-exactly; >1 ships up to
-  /// this many cache-missing windows to a worker in a single frame, which
-  /// is what drives frames-per-window below 1.0 on bench_cache.
+  /// Most cache-missing windows shipped to a worker in one kRequestBatch
+  /// frame. 1 (the default) sends a batch of one per frame; larger values
+  /// drive frames-per-window below 1.0 on bench_cache.
   int coalesce = 1;
 
   /// Throws std::invalid_argument on out-of-range fields.
   void validate() const;
-};
-
-/// Per-pass transport counters, folded into DistOptStats::remote_* by
-/// dist_opt. take_stats() returns-and-resets.
-///
-/// Byte accounting invariant: bytes_sent counts exactly the bytes handed
-/// to the kernel (short writes included); bytes_dropped is the tail of any
-/// frame that failed mid-write (so bytes_sent + bytes_dropped == bytes
-/// attempted), and bytes_retransmitted is the subset of bytes_sent spent
-/// re-sending a window's request after a failed attempt.
-struct CoordinatorStats {
-  long requests = 0;         ///< request frames sent (incl. retries)
-  long replies = 0;          ///< well-formed replies accepted
-  long retries = 0;          ///< windows re-queued after a failed attempt
-  long timeouts = 0;         ///< per-request deadlines that fired
-  long desyncs = 0;          ///< kDesync errors (replica rebind + retry)
-  long local_fallbacks = 0;  ///< windows solved coordinator-side
-  long worker_restarts = 0;  ///< workers re-established after dying
-  long connect_failures = 0;    ///< failed establishes (incl. auth)
-  long heartbeats_missed = 0;   ///< pings that never saw a pong
-  long bytes_sent = 0;          ///< bytes actually handed to the kernel
-  long bytes_received = 0;
-  long bytes_retransmitted = 0;  ///< bytes_sent spent on retry requests
-  long bytes_dropped = 0;        ///< unsent tails of mid-frame failures
-  /// Transport-site fault drills *scheduled* for this batch's windows: for
-  /// every job, every transport site whose seeded schedule fires on the
-  /// window key counts once, at solve_batch entry. A pure function of
-  /// (fault config, window keys) — unlike the per-drill counters above it
-  /// is independent of dispatch timing and quarantine state, which is what
-  /// lets the fault-storm tests assert on it without flaking.
-  long faults_scheduled = 0;
-  // Cache-aware dispatch counters (src/cache).
-  long cache_queries = 0;     ///< signatures probed via kCacheQuery frames
-  long cache_query_hits = 0;  ///< probed signatures a worker had memoized
-  long frames_sent = 0;       ///< frames fully handed to the kernel
-  long frames_received = 0;   ///< well-framed messages parsed from workers
 };
 
 /// One prepared window handed to solve_batch. `result` is always filled
@@ -167,7 +132,7 @@ struct RemoteJob {
   milp::BranchAndBound::Options sig_mip;
   /// Output: a cache tier served this window without running the MILP —
   /// either a kCacheQuery probe hit or a worker-side memo hit tagged in
-  /// the reply. dist_opt classifies such windows kCachedRemote.
+  /// the kReplyBatch entry. dist_opt classifies such windows kCachedRemote.
   bool cached = false;
 };
 

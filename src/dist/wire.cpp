@@ -13,10 +13,6 @@ const char* to_string(MsgType t) {
       return "hello";
     case MsgType::kBindDesign:
       return "bind_design";
-    case MsgType::kRequest:
-      return "request";
-    case MsgType::kReply:
-      return "reply";
     case MsgType::kSync:
       return "sync";
     case MsgType::kError:
@@ -282,9 +278,9 @@ fault::Config get_faults(WireReader& r) {
   return fc;
 }
 
-// The WindowSolveResult codec is shared by kReply and the kCacheReply hit
-// entries; the cross-field invariants live in get_solve_result so every
-// path that materializes a result enforces them.
+// The WindowSolveResult codec is shared by reply-batch entries and the
+// kCacheReply hit entries; the cross-field invariants live in
+// get_solve_result so every path that materializes a result enforces them.
 void put_solve_result(WireWriter& w, const WindowSolveResult& res) {
   w.boolean(res.failed);
   w.str(res.error);
@@ -526,9 +522,9 @@ WireErrorMsg decode_error(const std::vector<std::uint8_t>& payload) {
 
 namespace {
 
-/// Length-prefixed embedded payload: batch frames carry whole single-frame
-/// payloads (encode_request / encode_reply / encode_error bytes) so the
-/// embedded codecs — and their invariant checks — are reused verbatim.
+/// Length-prefixed embedded payload: batch frames carry whole
+/// encode_request / encode_reply / encode_error payloads, so those codecs —
+/// and their invariant checks — are reused verbatim.
 void put_blob(WireWriter& w, const std::vector<std::uint8_t>& b) {
   w.u32(static_cast<std::uint32_t>(b.size()));
   for (std::uint8_t byte : b) w.u8(byte);

@@ -61,10 +61,11 @@ class WireError : public std::runtime_error {
 enum class MsgType : std::uint16_t {
   kHello = 1,       ///< worker -> coordinator, once after connect
   kBindDesign = 2,  ///< coordinator -> worker: full design replica
-  kRequest = 3,     ///< coordinator -> worker: one window subproblem
-  kReply = 4,       ///< worker -> coordinator: WindowSolveResult
+  // 3 and 4 carried the retired one-window request/reply frames (window
+  // solves travel as kRequestBatch/kReplyBatch). Never reuse them: a stale
+  // peer of the same wire version may still send them.
   kSync = 5,        ///< coordinator -> worker: placement deltas (one-way)
-  kError = 6,       ///< worker -> coordinator: typed per-request failure
+  kError = 6,       ///< worker -> coordinator: whole-frame failure
   kShutdown = 7,    ///< coordinator -> worker: exit cleanly
   kPing = 8,        ///< coordinator -> worker: heartbeat probe
   kPong = 9,        ///< worker -> coordinator: heartbeat echo (same seq)
@@ -211,11 +212,12 @@ struct WireChallenge {
   std::vector<std::uint8_t> nonce;
 };
 
-/// One window subproblem. `job` carries the final (deadline-adjusted)
-/// solver limits actually used; `sig_mip` is the pass's unadjusted MIP
-/// options, which — together with `greedy_fallback` and `faults` — the
-/// worker needs to recompute the canonical window signature for the
-/// replica-consistency check against `expected_sig`.
+/// One window subproblem, embedded in a WireRequestBatch. `job` carries
+/// the final (deadline-adjusted) solver limits actually used; `sig_mip` is
+/// the pass's unadjusted MIP options, which — together with
+/// `greedy_fallback` and `faults` — the worker needs to recompute the
+/// canonical window signature for the replica-consistency check against
+/// `expected_sig`.
 struct WireRequest {
   std::uint64_t req_id = 0;
   WindowSolveJob job;
@@ -260,7 +262,7 @@ struct WireCacheQuery {
 };
 
 /// One probe hit: the signature plus the full memoized solve result, which
-/// the coordinator replays exactly as it would a kReply.
+/// the coordinator replays exactly as it would a kReplyBatch entry.
 struct WireCacheHit {
   WindowSig sig;
   WindowSolveResult result;
@@ -292,8 +294,8 @@ struct WireBatchEntry {
 };
 
 /// Worker's answer to a WireRequestBatch, one entry per embedded request
-/// in order. Entries carry their own req_ids, so the coordinator resolves
-/// them exactly like single replies.
+/// in order, minus any the reply_drop drill removed. Entries carry their
+/// own req_ids, so the coordinator resolves each one individually.
 struct WireReplyBatch {
   std::vector<WireBatchEntry> entries;
 };

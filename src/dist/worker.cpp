@@ -29,11 +29,11 @@ bool send_frame(int fd, MsgType type, std::vector<std::uint8_t> payload) {
   return subprocess::write_all(fd, frame.data(), frame.size());
 }
 
-bool send_error(int fd, std::uint64_t req_id, ErrorCode code,
-                const std::string& message) {
+/// Top-level kError: rejects a whole inbound frame, so it names no window
+/// (per-window errors travel as kReplyBatch entries).
+bool send_error(int fd, const std::string& message) {
   WireErrorMsg e;
-  e.req_id = req_id;
-  e.code = code;
+  e.code = ErrorCode::kBadRequest;
   e.message = message;
   return send_frame(fd, MsgType::kError, encode_error(e));
 }
@@ -126,22 +126,14 @@ bool mip_matches_sig(const milp::BranchAndBound::Options& a,
          a.lp_options.pivot_tol == b.lp_options.pivot_tol;
 }
 
-/// Outcome of processing one (already decoded) request: either a reply or
-/// a typed error, plus the drill/cache flags the caller's send path needs.
-struct RequestOutcome {
-  bool is_error = false;
-  bool cached = false;      ///< served from the memo tier, MILP skipped
-  bool reply_drop = false;  ///< reply_drop drill fired: say nothing
-  WireReply reply;
-  WireErrorMsg error;
-};
-
-/// Validates, signature-checks, and solves (or memo-serves) one request.
-/// Shared by the single-request and batched paths; everything
-/// transport-level (reply frames, slow-loris/corrupt drills) stays with
-/// the callers.
-RequestOutcome process_request(const Design* design, const WireRequest& rq,
-                               MemoTier& memo) {
+/// Validates, signature-checks, and solves (or memo-serves) one request of
+/// a batch, returning its reply-batch entry: a reply (tagged `cached` when
+/// the memo tier served it) or a typed error. Returns nullopt when the
+/// reply_drop drill fired. Everything transport-level (reply frames,
+/// slow-loris/corrupt drills) stays with the caller.
+std::optional<WireBatchEntry> process_request(const Design* design,
+                                              const WireRequest& rq,
+                                              MemoTier& memo) {
   static obs::Counter& requests_metric = obs::counter("dist.worker.requests");
   static obs::Counter& desyncs_metric = obs::counter("dist.worker.desyncs");
   static obs::Counter& memo_hits_metric =
@@ -154,7 +146,7 @@ RequestOutcome process_request(const Design* design, const WireRequest& rq,
   requests_metric.add();
   fault::set_config(rq.faults);
 
-  RequestOutcome out;
+  WireBatchEntry out;
   auto fail = [&](ErrorCode code, const std::string& message) {
     out.is_error = true;
     out.error.req_id = rq.req_id;
@@ -231,12 +223,11 @@ RequestOutcome process_request(const Design* design, const WireRequest& rq,
 
   if (fault::config().enabled() &&
       fault::should_fire(fault::Site::kReplyDrop, rq.job.key)) {
-    // Simulated hang: the work happened but the reply never leaves. The
-    // coordinator's per-request deadline turns this into kill + local
-    // fallback.
+    // Simulated lost reply: the work happened but the reply never leaves
+    // (see handle_request_batch for how the coordinator notices).
     log_warn("vm1_worker: injected reply_drop, window ", rq.job.widx);
     span.arg("outcome", "reply_drop");
-    out.reply_drop = true;
+    return std::nullopt;
   }
   return out;
 }
@@ -272,36 +263,13 @@ bool send_reply_frame(int fd, std::vector<std::uint8_t> frame,
   return subprocess::write_all(fd, frame.data(), frame.size());
 }
 
-/// Handles one kRequest frame against the replica. Returns false when the
-/// socket died mid-reply.
-bool handle_request(int fd, const Design* design,
-                    const std::vector<std::uint8_t>& payload,
-                    MemoTier& memo) {
-  WireRequest rq;
-  try {
-    rq = decode_request(payload);
-  } catch (const WireError& e) {
-    // The frame passed its checksum, so this is version skew or an encoder
-    // bug, not line noise; report and keep serving.
-    return send_error(fd, 0, ErrorCode::kBadRequest, e.what());
-  }
-  RequestOutcome out = process_request(design, rq, memo);
-  if (out.reply_drop) return true;
-  if (out.is_error) {
-    return send_frame(fd, MsgType::kError, encode_error(out.error));
-  }
-  return send_reply_frame(fd,
-                          encode_frame(MsgType::kReply,
-                                       encode_reply(out.reply)),
-                          rq.job.key, rq.job.widx);
-}
-
 /// Handles one kRequestBatch frame: processes every embedded request and
 /// answers with a single kReplyBatch. A request whose reply_drop drill
-/// fires is simply omitted from the batch — the coordinator's per-job
-/// deadline handles it exactly like a dropped single reply. The
-/// frame-level drills are keyed on the first request, so a batch behaves
-/// like one big reply on the wire.
+/// fires is omitted from the batch, and the coordinator fails it as soon
+/// as the batch reply lands. When the drill removed every entry no frame
+/// is sent at all, so the coordinator's request deadline fires — the hang
+/// the drill simulates. The frame-level drills are keyed on the first
+/// request, so a batch behaves like one big reply on the wire.
 bool handle_request_batch(int fd, const Design* design,
                           const std::vector<std::uint8_t>& payload,
                           MemoTier& memo) {
@@ -309,26 +277,19 @@ bool handle_request_batch(int fd, const Design* design,
   try {
     batch = decode_request_batch(payload);
   } catch (const WireError& e) {
-    return send_error(fd, 0, ErrorCode::kBadRequest, e.what());
+    return send_error(fd, e.what());
   }
   if (batch.requests.empty()) {
-    return send_error(fd, 0, ErrorCode::kBadRequest, "empty request batch");
+    return send_error(fd, "empty request batch");
   }
   WireReplyBatch rb;
   rb.entries.reserve(batch.requests.size());
   for (const WireRequest& rq : batch.requests) {
-    RequestOutcome out = process_request(design, rq, memo);
-    if (out.reply_drop) continue;
-    WireBatchEntry e;
-    e.is_error = out.is_error;
-    e.cached = out.cached;
-    if (out.is_error) {
-      e.error = std::move(out.error);
-    } else {
-      e.reply = std::move(out.reply);
+    if (std::optional<WireBatchEntry> e = process_request(design, rq, memo)) {
+      rb.entries.push_back(std::move(*e));
     }
-    rb.entries.push_back(std::move(e));
   }
+  if (rb.entries.empty()) return true;  // every reply dropped: stay silent
   return send_reply_frame(
       fd, encode_frame(MsgType::kReplyBatch, encode_reply_batch(rb)),
       batch.requests.front().job.key, batch.requests.front().job.widx);
@@ -348,7 +309,7 @@ bool handle_cache_query(int fd, const std::vector<std::uint8_t>& payload,
   try {
     q = decode_cache_query(payload);
   } catch (const WireError& e) {
-    return send_error(fd, 0, ErrorCode::kBadRequest, e.what());
+    return send_error(fd, e.what());
   }
   queries_metric.add();
   WireCacheReply cr;
@@ -399,7 +360,7 @@ int run_worker(int fd, bool send_hello) {
                     design->netlist().num_instances(), " instances)");
         } catch (const WireError& e) {
           log_error("vm1_worker: bad design snapshot: ", e.what());
-          if (!send_error(fd, 0, ErrorCode::kBadRequest, e.what())) return 1;
+          if (!send_error(fd, e.what())) return 1;
           design.reset();
         }
         break;
@@ -420,12 +381,6 @@ int run_worker(int fd, bool send_hello) {
           design.reset();
         }
         break;
-      case MsgType::kRequest:
-        if (!handle_request(fd, design ? &*design : nullptr, f->payload,
-                            memo)) {
-          return 1;
-        }
-        break;
       case MsgType::kRequestBatch:
         if (!handle_request_batch(fd, design ? &*design : nullptr,
                                   f->payload, memo)) {
@@ -441,7 +396,7 @@ int run_worker(int fd, bool send_hello) {
           if (!send_frame(fd, MsgType::kPong, encode_ping(ping))) return 1;
         } catch (const WireError& e) {
           log_error("vm1_worker: bad ping: ", e.what());
-          if (!send_error(fd, 0, ErrorCode::kBadRequest, e.what())) return 1;
+          if (!send_error(fd, e.what())) return 1;
         }
         break;
       case MsgType::kShutdown:
@@ -449,10 +404,7 @@ int run_worker(int fd, bool send_hello) {
       default:
         log_error("vm1_worker: unexpected message type ",
                   to_string(f->type));
-        if (!send_error(fd, 0, ErrorCode::kBadRequest,
-                        "unexpected message type")) {
-          return 1;
-        }
+        if (!send_error(fd, "unexpected message type")) return 1;
         break;
     }
   }

@@ -8,12 +8,17 @@
 ///      already went out authenticated during the tcp_attach handshake);
 ///   2. coordinator sends kBindDesign (full replica) before the first
 ///      request, and again whenever it believes the replica is stale;
-///   3. kRequest -> solve_window on the replica -> kReply, or kError
+///   3. kRequestBatch (one or more windows) -> solve_window on the replica
+///      per window, or a memo-tier replay -> one kReplyBatch whose entries
+///      are replies (tagged `cached` when replayed) or typed errors
 ///      (kDesync when the recomputed window signature disagrees with the
 ///      request's expected signature — the replica missed a sync);
-///   4. kSync applies placement deltas (one-way, no reply);
-///   5. kPing -> kPong echoing the sequence number (heartbeat);
-///   6. kShutdown (or EOF) ends the loop.
+///   4. kCacheQuery -> kCacheReply listing the memo tier's hits;
+///   5. kSync applies placement deltas (one-way, no reply);
+///   6. kPing -> kPong echoing the sequence number (heartbeat);
+///   7. kShutdown (or EOF) ends the loop.
+/// A frame the worker cannot use at all is answered with a top-level
+/// kError.
 ///
 /// run_worker is also callable in-process from tests: it owns no global
 /// state besides the fault config the requests carry.

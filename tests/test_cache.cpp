@@ -512,9 +512,9 @@ TEST_F(CacheEquivFaults, WarmRerunIsBitIdenticalUnderTheFaultStorm) {
 // ---------------------------------------------------------------------------
 // Layer 3b: the remote tiers — worker memos and coalesced dispatch.
 
-CacheRun run_remote(std::uint64_t seed, dist::Coordinator* coord) {
+CacheRun run_remote(std::uint64_t seed, dist::Coordinator* coord,
+                    VM1OptOptions o = cache_opts()) {
   Design d = cache_design(seed);
-  VM1OptOptions o = cache_opts();
   o.threads = 1;
   o.backend = DistBackend::kProcesses;
   o.coordinator = coord;
@@ -542,8 +542,30 @@ TEST(RemoteCacheTier, WorkerMemoServesRepeatRunsAsCachedRemote) {
   CacheRun second = run_remote(21, &coord);
   expect_identical(second, first, 21);
   EXPECT_GT(second.stats.cached_remote, 0);
-  EXPECT_GT(second.stats.remote_cache_queries, 0)
+  EXPECT_GT(second.stats.remote.cache_queries, 0)
       << "dispatch must probe the fleet before sending solves";
+}
+
+TEST(RemoteCacheTier, MemoServedWindowsBucketTheSameAtEveryCoalesce) {
+  // A window the worker serves from its memo is kCachedRemote however the
+  // frames were packed, and counts no solver work: no MILP ran. Probes are
+  // off, so every repeat solve reaches the memo through a request; one
+  // worker, so no window can move to a worker that never solved it.
+  for (int coalesce : {1, 4}) {
+    dist::CoordinatorOptions co;
+    co.num_workers = 1;
+    co.remote_cache = false;
+    co.coalesce = coalesce;
+    dist::Coordinator coord(co);
+    CacheRun first = run_remote(21, &coord);
+    EXPECT_GT(first.stats.milp_nodes, 0) << "coalesce " << coalesce;
+    CacheRun second = run_remote(21, &coord);
+    expect_identical(second, first, 21);
+    EXPECT_GT(second.stats.windows, 0) << "coalesce " << coalesce;
+    EXPECT_EQ(second.stats.cached_remote, second.stats.windows)
+        << "coalesce " << coalesce;
+    EXPECT_EQ(second.stats.milp_nodes, 0) << "coalesce " << coalesce;
+  }
 }
 
 TEST(RemoteCacheTier, CoalescedDispatchIsBitIdentical) {
@@ -567,8 +589,8 @@ TEST(RemoteCacheTier, CoalescedDispatchIsBitIdentical) {
     expect_identical(proc, threads, 23);
     // Coalescing must reduce traffic: strictly fewer request frames than
     // windows dispatched (the whole point of kRequestBatch).
-    EXPECT_GT(proc.stats.remote_frames_sent, 0) << "coalesce " << coalesce;
-    EXPECT_GT(proc.stats.remote_replies, 0) << "coalesce " << coalesce;
+    EXPECT_GT(proc.stats.remote.frames_sent, 0) << "coalesce " << coalesce;
+    EXPECT_GT(proc.stats.remote.replies, 0) << "coalesce " << coalesce;
   }
 }
 
@@ -581,10 +603,13 @@ class RemoteCacheFaults : public ::testing::Test {
 };
 
 TEST_F(RemoteCacheFaults, CoalescedDispatchSurvivesTheFaultStorm) {
+  // Short solver limit: the node limit still binds on these windows, but
+  // the limit sets a silent worker's deadline, keeping the storm fast.
+  VM1OptOptions o = cache_opts();
+  o.mip.time_limit_sec = 0.5;
   CacheRun threads;
   {
     Design d = cache_design(29);
-    VM1OptOptions o = cache_opts();
     VM1OptStats s = vm1opt(d, o);
     threads.placements = d.placements();
     threads.objective = s.final.value;
@@ -595,9 +620,15 @@ TEST_F(RemoteCacheFaults, CoalescedDispatchSurvivesTheFaultStorm) {
   dist::CoordinatorOptions co;
   co.num_workers = 2;
   co.coalesce = 8;
+  co.request_timeout_sec = 0.75;
+  co.quarantine_base_sec = 0.2;
   dist::Coordinator coord(co);
-  CacheRun proc = run_remote(29, &coord);
+  CacheRun proc = run_remote(29, &coord, o);
   expect_identical(proc, threads, 29);
+  // Some windows must still reach the fleet and come back: a storm routed
+  // wholly around the workers would check nothing remote.
+  EXPECT_GT(proc.stats.remote.replies, 0);
+  EXPECT_LT(proc.stats.remote.local_fallbacks, proc.stats.windows);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 ///
 /// Layer 1 drives run_worker() in-process over a socketpair — the exact
 /// loop the vm1_worker executable runs — and checks the protocol: hello,
-/// replica binding, signature-checked requests, sync deltas, typed desync
-/// and bad-request errors, orderly shutdown.
+/// replica binding, signature-checked request batches, memo-served
+/// replies, sync deltas, typed desync and bad-request entries, the silent
+/// fully-dropped batch, orderly shutdown.
 ///
 /// Layer 2 runs whole dist_opt()/Coordinator passes against real worker
 /// subprocesses: results must be bit-identical to the threads backend,
@@ -21,6 +22,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -105,6 +107,12 @@ struct WorkerHarness {
         encode_frame(type, std::move(payload));
     ASSERT_TRUE(subprocess::write_all(fd, frame.data(), frame.size()));
   }
+  /// Sends `rq` as a kRequestBatch of one.
+  void send_request(const WireRequest& rq) {
+    WireRequestBatch b;
+    b.requests = {rq};
+    send(MsgType::kRequestBatch, encode_request_batch(b));
+  }
   /// Blocking receive of the next frame (test relies on ctest timeouts).
   Frame recv() {
     std::uint8_t chunk[4096];
@@ -114,6 +122,17 @@ struct WorkerHarness {
       if (n <= 0) throw WireError("worker closed the socket");
       rbuf.insert(rbuf.end(), chunk, chunk + n);
     }
+  }
+  /// Receives the kReplyBatch answering a batch of one; returns its entry.
+  WireBatchEntry recv_entry() {
+    Frame f = recv();
+    if (f.type != MsgType::kReplyBatch) {
+      throw WireError(std::string("expected reply_batch, got ") +
+                      to_string(f.type));
+    }
+    WireReplyBatch rb = decode_reply_batch(f.payload);
+    if (rb.entries.size() != 1) throw WireError("expected one entry");
+    return rb.entries[0];
   }
   /// Closes the test side and joins; returns run_worker's exit code.
   int finish() {
@@ -177,10 +196,11 @@ TEST_F(WorkerProtocol, HelloBindSolveShutdown) {
   EXPECT_EQ(h.num_fault_sites, fault::kNumSites);
 
   w.send(MsgType::kBindDesign, encode_design(d));
-  w.send(MsgType::kRequest, encode_request(pw.request));
-  Frame reply = w.recv();
-  ASSERT_EQ(reply.type, MsgType::kReply);
-  WireReply rp = decode_reply(reply.payload);
+  w.send_request(pw.request);
+  WireBatchEntry e = w.recv_entry();
+  ASSERT_FALSE(e.is_error) << e.error.message;
+  EXPECT_FALSE(e.cached) << "a fresh worker has nothing memoized";
+  const WireReply& rp = e.reply;
   EXPECT_EQ(rp.req_id, pw.request.req_id);
   EXPECT_FALSE(rp.result.failed);
 
@@ -195,6 +215,15 @@ TEST_F(WorkerProtocol, HelloBindSolveShutdown) {
   EXPECT_EQ(rp.result.objective, local.objective);
   EXPECT_EQ(rp.result.warm_obj, local.warm_obj);
 
+  // The same request again is served from the worker's memo tier: tagged
+  // cached, with the identical result.
+  w.send_request(pw.request);
+  WireBatchEntry again = w.recv_entry();
+  ASSERT_FALSE(again.is_error) << again.error.message;
+  EXPECT_TRUE(again.cached);
+  EXPECT_EQ(again.reply.result.placements, rp.result.placements);
+  EXPECT_EQ(again.reply.result.objective, rp.result.objective);
+
   w.send(MsgType::kShutdown, {});
   EXPECT_EQ(w.finish(), 0);
 }
@@ -207,24 +236,25 @@ TEST_F(WorkerProtocol, DesyncedReplicaReportsTypedErrorThenRecovers) {
   WorkerHarness w;
   ASSERT_EQ(w.recv().type, MsgType::kHello);
 
-  // Request before any design is bound: kDesync.
-  w.send(MsgType::kRequest, encode_request(pw.request));
-  Frame err = w.recv();
-  ASSERT_EQ(err.type, MsgType::kError);
-  EXPECT_EQ(decode_error(err.payload).code, ErrorCode::kDesync);
+  // Request before any design is bound: a kDesync entry naming it.
+  w.send_request(pw.request);
+  WireBatchEntry err = w.recv_entry();
+  ASSERT_TRUE(err.is_error);
+  EXPECT_EQ(err.error.code, ErrorCode::kDesync);
+  EXPECT_EQ(err.error.req_id, pw.request.req_id);
 
   // Bound replica but a stale signature (the design moved on): kDesync.
   w.send(MsgType::kBindDesign, encode_design(d));
   WireRequest stale = pw.request;
   stale.expected_sig.a ^= 1;
-  w.send(MsgType::kRequest, encode_request(stale));
-  err = w.recv();
-  ASSERT_EQ(err.type, MsgType::kError);
-  EXPECT_EQ(decode_error(err.payload).code, ErrorCode::kDesync);
+  w.send_request(stale);
+  err = w.recv_entry();
+  ASSERT_TRUE(err.is_error);
+  EXPECT_EQ(err.error.code, ErrorCode::kDesync);
 
   // The correct signature still solves — the worker stayed serviceable.
-  w.send(MsgType::kRequest, encode_request(pw.request));
-  EXPECT_EQ(w.recv().type, MsgType::kReply);
+  w.send_request(pw.request);
+  EXPECT_FALSE(w.recv_entry().is_error);
 
   w.send(MsgType::kShutdown, {});
   EXPECT_EQ(w.finish(), 0);
@@ -258,9 +288,10 @@ TEST_F(WorkerProtocol, SyncDeltasKeepReplicaCurrent) {
   w.send(MsgType::kSync, encode_sync(sync));
 
   PreparedWindow pw = prepare_window(d, o);
-  w.send(MsgType::kRequest, encode_request(pw.request));
-  Frame reply = w.recv();
-  ASSERT_EQ(reply.type, MsgType::kReply) << "replica missed the sync delta";
+  w.send_request(pw.request);
+  WireBatchEntry e = w.recv_entry();
+  EXPECT_FALSE(e.is_error) << "replica missed the sync delta: "
+                           << e.error.message;
 
   w.send(MsgType::kShutdown, {});
   EXPECT_EQ(w.finish(), 0);
@@ -276,10 +307,34 @@ TEST_F(WorkerProtocol, OutOfRangeInstanceIsBadRequestNotUB) {
   w.send(MsgType::kBindDesign, encode_design(d));
   WireRequest bad = pw.request;
   bad.job.movable.push_back(d.netlist().num_instances() + 5);
-  w.send(MsgType::kRequest, encode_request(bad));
-  Frame err = w.recv();
-  ASSERT_EQ(err.type, MsgType::kError);
-  EXPECT_EQ(decode_error(err.payload).code, ErrorCode::kBadRequest);
+  w.send_request(bad);
+  WireBatchEntry err = w.recv_entry();
+  ASSERT_TRUE(err.is_error);
+  EXPECT_EQ(err.error.code, ErrorCode::kBadRequest);
+  w.send(MsgType::kShutdown, {});
+  EXPECT_EQ(w.finish(), 0);
+}
+
+TEST_F(WorkerProtocol, FullyDroppedBatchSendsNoFrame) {
+  // reply_drop fires on every window: the worker solves, then sends no
+  // frame at all (not an empty batch), so the coordinator's request
+  // deadline fires exactly as for a hung worker.
+  fault::set_config(fault::parse_spec("reply_drop=1.0,seed=3"));
+  Design d = placed_design(5);
+  DistOptOptions o = base_opts();
+  PreparedWindow pw = prepare_window(d, o);
+
+  WorkerHarness w;
+  ASSERT_EQ(w.recv().type, MsgType::kHello);
+  w.send(MsgType::kBindDesign, encode_design(d));
+  w.send_request(pw.request);
+  // The next frame out answers the ping, not the dropped batch.
+  WirePing ping;
+  ping.seq = 7;
+  w.send(MsgType::kPing, encode_ping(ping));
+  Frame f = w.recv();
+  ASSERT_EQ(f.type, MsgType::kPong);
+  EXPECT_EQ(decode_ping(f.payload).seq, 7u);
   w.send(MsgType::kShutdown, {});
   EXPECT_EQ(w.finish(), 0);
 }
@@ -309,11 +364,11 @@ TEST_F(CoordinatorEndToEnd, ProcessesPassMatchesThreadsBitExactly) {
   EXPECT_EQ(sp.objective, st.objective);
   EXPECT_EQ(sp.outcome_total(), sp.windows);
   EXPECT_EQ(sp.solved, st.solved);
-  EXPECT_GT(sp.remote_replies, 0) << "nothing actually solved remotely";
-  EXPECT_EQ(sp.remote_local_fallbacks, 0);
-  EXPECT_EQ(sp.remote_desyncs, 0);
-  EXPECT_GT(sp.wire_bytes_sent, 0);
-  EXPECT_GT(sp.wire_bytes_received, 0);
+  EXPECT_GT(sp.remote.replies, 0) << "nothing actually solved remotely";
+  EXPECT_EQ(sp.remote.local_fallbacks, 0);
+  EXPECT_EQ(sp.remote.desyncs, 0);
+  EXPECT_GT(sp.remote.bytes_sent, 0);
+  EXPECT_GT(sp.remote.bytes_received, 0);
   EXPECT_FALSE(coord.spawn_broken());
 }
 
@@ -330,8 +385,8 @@ TEST_F(CoordinatorEndToEnd, BrokenWorkerBinaryDegradesToAllLocal) {
   DistOptStats st = run_pass(dt, o, nullptr);
 
   EXPECT_TRUE(coord.spawn_broken());
-  EXPECT_EQ(sp.remote_replies, 0);
-  EXPECT_GT(sp.remote_local_fallbacks, 0);
+  EXPECT_EQ(sp.remote.replies, 0);
+  EXPECT_GT(sp.remote.local_fallbacks, 0);
   EXPECT_EQ(sp.outcome_total(), sp.windows);
   // The degraded path still produces the identical answer.
   for (std::size_t i = 0; i < dp.placements().size(); ++i) {
@@ -369,11 +424,11 @@ TEST_F(CoordinatorFaults, QuarterRateTransportStormIsAbsorbedBitExactly) {
   EXPECT_EQ(sp.outcome_total(), sp.windows);
   EXPECT_EQ(sp.windows, st.windows);
   // ...and every drill must have actually fired and been absorbed.
-  EXPECT_GT(sp.remote_retries, 0);
-  EXPECT_GT(sp.remote_local_fallbacks, 0);
-  EXPECT_GT(sp.remote_timeouts, 0)
+  EXPECT_GT(sp.remote.retries, 0);
+  EXPECT_GT(sp.remote.local_fallbacks, 0);
+  EXPECT_GT(sp.remote.timeouts, 0)
       << "reply_drop/slow_loris never hit the deadline";
-  EXPECT_GT(sp.worker_restarts, 0) << "no killed worker was respawned";
+  EXPECT_GT(sp.remote.worker_restarts, 0) << "no killed worker was respawned";
   // (connect_refused / partition counters are NOT asserted here: whether a
   // given window key is ever *dispatched* — rather than drained straight to
   // local while every slot sits quarantined — depends on timing, so their
@@ -405,9 +460,9 @@ TEST_F(CoordinatorFaults, ConnectRefusedStormDegradesToLocalBitExactly) {
   DistOptStats st = run_pass(dt, o, nullptr);
 
   EXPECT_EQ(sp.outcome_total(), sp.windows);
-  EXPECT_GT(sp.remote_connect_failures, 0) << "connect_refused never fired";
-  EXPECT_EQ(sp.remote_replies, 0);
-  EXPECT_GT(sp.remote_local_fallbacks, 0);
+  EXPECT_GT(sp.remote.connect_failures, 0) << "connect_refused never fired";
+  EXPECT_EQ(sp.remote.replies, 0);
+  EXPECT_GT(sp.remote.local_fallbacks, 0);
   for (std::size_t i = 0; i < dp.placements().size(); ++i) {
     EXPECT_EQ(dp.placements()[i], dt.placements()[i]) << "instance " << i;
   }
@@ -431,10 +486,10 @@ TEST_F(CoordinatorFaults, MidFramePartitionDropsBytesButStaysBitExact) {
   DistOptStats st = run_pass(dt, o, nullptr);
 
   EXPECT_EQ(sp.outcome_total(), sp.windows);
-  EXPECT_GT(sp.wire_bytes_dropped, 0) << "partition never dropped a frame";
-  EXPECT_EQ(sp.remote_replies, 0);
-  EXPECT_GT(sp.remote_local_fallbacks, 0);
-  EXPECT_GT(sp.worker_restarts, 0);
+  EXPECT_GT(sp.remote.bytes_dropped, 0) << "partition never dropped a frame";
+  EXPECT_EQ(sp.remote.replies, 0);
+  EXPECT_GT(sp.remote.local_fallbacks, 0);
+  EXPECT_GT(sp.remote.worker_restarts, 0);
   for (std::size_t i = 0; i < dp.placements().size(); ++i) {
     EXPECT_EQ(dp.placements()[i], dt.placements()[i]) << "instance " << i;
   }

@@ -93,8 +93,8 @@ RunResult run(std::uint64_t seed, DistBackend backend, int workers) {
   r.hpwl = s.final.hpwl;
   r.alignments = s.final.alignments;
   r.legal = is_legal(d);
-  r.remote_replies = s.remote_replies;
-  r.remote_local_fallbacks = s.remote_local_fallbacks;
+  r.remote_replies = s.remote.replies;
+  r.remote_local_fallbacks = s.remote.local_fallbacks;
   r.windows = s.windows;
   return r;
 }

@@ -379,10 +379,10 @@ TEST(TcpBackendEquiv, LoopbackTcpMatchesThreadsAcrossSeeds) {
     RunResult thr =
         run(seed, DistBackend::kThreads, DistTransport::kSocketpair);
     expect_identical(tcp, thr, seed);
-    total_remote += tcp.stats.remote_replies;
+    total_remote += tcp.stats.remote.replies;
     // Without injected faults every window must solve remotely; a silent
     // local fallback would make this suite vacuous.
-    EXPECT_EQ(tcp.stats.remote_local_fallbacks, 0) << "seed " << seed;
+    EXPECT_EQ(tcp.stats.remote.local_fallbacks, 0) << "seed " << seed;
   }
   EXPECT_GT(total_remote, 0) << "no window was ever solved over TCP";
 }
@@ -424,7 +424,7 @@ TEST(TcpBackendEquiv, SevenSiteQuarterStormStaysBitIdentical) {
   // previously asserted retry/fallback counters depend on *when* each
   // drill lands relative to socket deadlines and were flaky on slow or
   // loaded hosts; the census is identical on every run of this seed.
-  EXPECT_GT(sp.remote_faults_scheduled, 0)
+  EXPECT_GT(sp.remote.faults_scheduled, 0)
       << "the storm never scheduled a single drill";
   ASSERT_EQ(dp.placements().size(), dt.placements().size());
   for (std::size_t i = 0; i < dp.placements().size(); ++i) {
@@ -456,9 +456,9 @@ TEST(TcpFleet, KillStormQuarantinesAndDegradesToLocalBitIdentically) {
   VM1OptStats st = vm1opt(dt, o);
   fault::set_config(fault::Config{});
 
-  EXPECT_EQ(sp.remote_replies, 0) << "a killed worker somehow replied";
-  EXPECT_GT(sp.remote_local_fallbacks, 0);
-  EXPECT_GT(sp.worker_restarts, 0);
+  EXPECT_EQ(sp.remote.replies, 0) << "a killed worker somehow replied";
+  EXPECT_GT(sp.remote.local_fallbacks, 0);
+  EXPECT_GT(sp.remote.worker_restarts, 0);
   ASSERT_EQ(dp.placements().size(), dt.placements().size());
   for (std::size_t i = 0; i < dp.placements().size(); ++i) {
     EXPECT_EQ(dp.placements()[i], dt.placements()[i]) << "instance " << i;

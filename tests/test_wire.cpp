@@ -1,9 +1,10 @@
 /// Wire-format tests for the distributed window-solve service
 /// (dist/wire.h): bit-exact encode -> decode round-trips for every message
-/// type (including NaN doubles and a full design replica), and a seeded
-/// corruption/truncation fuzz harness proving that a damaged stream always
-/// surfaces as a typed WireError — never UB, an unbounded allocation, or a
-/// half-decoded message. Also built into the ASan `faults` binary.
+/// type (including NaN doubles, every reply-batch entry kind, and a full
+/// design replica), and a seeded corruption/truncation fuzz harness proving
+/// that a damaged stream always surfaces as a typed WireError — never UB,
+/// an unbounded allocation, or a half-decoded message. Also built into the
+/// ASan `faults` binary.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -83,6 +84,32 @@ WireReply sample_reply(std::uint64_t seed) {
   return rp;
 }
 
+/// A reply batch with one entry of each kind: a fresh reply, a memo-served
+/// (`cached`) reply, and a typed error.
+WireReplyBatch sample_reply_batch(std::uint64_t seed) {
+  WireReplyBatch b;
+  WireBatchEntry fresh;
+  fresh.reply = sample_reply(seed);
+  WireBatchEntry cached;
+  cached.cached = true;
+  cached.reply = sample_reply(seed + 1);
+  WireBatchEntry err;
+  err.is_error = true;
+  err.error.req_id = 41;
+  err.error.code = ErrorCode::kDesync;
+  err.error.message = "window signature mismatch (stale replica)";
+  b.entries = {fresh, cached, err};
+  return b;
+}
+
+WireCacheReply sample_cache_reply(std::uint64_t seed) {
+  WireCacheReply cr;
+  cr.query_id = seed;
+  cr.hits.push_back({WindowSig{seed, ~seed}, sample_reply(seed).result});
+  cr.hits.push_back({WindowSig{3, 4}, sample_reply(seed + 2).result});
+  return cr;
+}
+
 TEST(WireFrame, RoundTripsBitExact) {
   std::vector<std::uint8_t> payload = {0xde, 0xad, 0x00, 0xff, 0x42};
   std::vector<std::uint8_t> frame = encode_frame(MsgType::kSync, payload);
@@ -119,7 +146,8 @@ TEST(WireFrame, BackToBackFramesPopInOrder) {
 }
 
 TEST(WireFrame, RejectsBadMagicVersionTypeAndChecksum) {
-  std::vector<std::uint8_t> good = encode_frame(MsgType::kReply, {9, 9, 9});
+  std::vector<std::uint8_t> good =
+      encode_frame(MsgType::kReplyBatch, {9, 9, 9});
 
   std::vector<std::uint8_t> bad_magic = good;
   bad_magic[0] ^= 0xff;
@@ -233,6 +261,73 @@ TEST(WireMessages, ReplyRoundTripsBitExactIncludingNaN) {
   EXPECT_EQ(f2.result.faults, 1);
 }
 
+void expect_same_result(const WindowSolveResult& a,
+                        const WindowSolveResult& b) {
+  EXPECT_EQ(a.failed, b.failed);
+  EXPECT_EQ(a.cells, b.cells);
+  EXPECT_EQ(a.usable, b.usable);
+  EXPECT_EQ(a.placements, b.placements);
+  EXPECT_EQ(a.warm_obj, b.warm_obj);
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.nodes, b.nodes);
+  EXPECT_EQ(a.rc_fixed, b.rc_fixed);
+}
+
+TEST(WireMessages, BatchAndCacheFramesRoundTrip) {
+  WireRequestBatch rqb;
+  rqb.requests = {sample_request(5), sample_request(6)};
+  WireRequestBatch rqb2 = decode_request_batch(encode_request_batch(rqb));
+  ASSERT_EQ(rqb2.requests.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(rqb2.requests[i].req_id, rqb.requests[i].req_id);
+    EXPECT_EQ(rqb2.requests[i].job.movable, rqb.requests[i].job.movable);
+    EXPECT_EQ(rqb2.requests[i].expected_sig.a,
+              rqb.requests[i].expected_sig.a);
+  }
+
+  // One entry of each kind: the `cached` tag and the error entry's own
+  // req_id must survive, since the coordinator resolves entries one by one.
+  WireReplyBatch rb = sample_reply_batch(8);
+  WireReplyBatch rb2 = decode_reply_batch(encode_reply_batch(rb));
+  ASSERT_EQ(rb2.entries.size(), 3u);
+  EXPECT_FALSE(rb2.entries[0].is_error);
+  EXPECT_FALSE(rb2.entries[0].cached);
+  EXPECT_EQ(rb2.entries[0].reply.req_id, rb.entries[0].reply.req_id);
+  expect_same_result(rb2.entries[0].reply.result, rb.entries[0].reply.result);
+  EXPECT_FALSE(rb2.entries[1].is_error);
+  EXPECT_TRUE(rb2.entries[1].cached);
+  expect_same_result(rb2.entries[1].reply.result, rb.entries[1].reply.result);
+  EXPECT_TRUE(rb2.entries[2].is_error);
+  EXPECT_EQ(rb2.entries[2].error.req_id, 41u);
+  EXPECT_EQ(rb2.entries[2].error.code, ErrorCode::kDesync);
+  EXPECT_EQ(rb2.entries[2].error.message, rb.entries[2].error.message);
+
+  // Zero-entry batches are well-formed on the wire (the worker rejects an
+  // empty request batch and never sends an empty reply batch, but the
+  // codec must not care).
+  EXPECT_TRUE(decode_request_batch(encode_request_batch({})).requests.empty());
+  EXPECT_TRUE(decode_reply_batch(encode_reply_batch({})).entries.empty());
+
+  WireCacheQuery q;
+  q.query_id = 12;
+  q.sigs = {WindowSig{1, 2}, WindowSig{~0ull, 0}};
+  WireCacheQuery q2 = decode_cache_query(encode_cache_query(q));
+  EXPECT_EQ(q2.query_id, q.query_id);
+  ASSERT_EQ(q2.sigs.size(), 2u);
+  EXPECT_EQ(q2.sigs[1].a, ~0ull);
+  EXPECT_EQ(q2.sigs[1].b, 0u);
+
+  WireCacheReply cr = sample_cache_reply(13);
+  WireCacheReply cr2 = decode_cache_reply(encode_cache_reply(cr));
+  EXPECT_EQ(cr2.query_id, cr.query_id);
+  ASSERT_EQ(cr2.hits.size(), cr.hits.size());
+  for (std::size_t i = 0; i < cr.hits.size(); ++i) {
+    EXPECT_EQ(cr2.hits[i].sig.a, cr.hits[i].sig.a);
+    EXPECT_EQ(cr2.hits[i].sig.b, cr.hits[i].sig.b);
+    expect_same_result(cr2.hits[i].result, cr.hits[i].result);
+  }
+}
+
 TEST(WireDesign, ReplicaRoundTripsToIdenticalDigest) {
   for (CellArch arch : {CellArch::kClosedM1, CellArch::kOpenM1}) {
     Design d = placed_design(11, arch);
@@ -294,10 +389,18 @@ TEST(WireDesign, ReplicaSolvesWindowBitIdentically) {
 /// proves no out-of-bounds reads.
 TEST(WireFuzz, MutatedFramesNeverEscapeWireError) {
   std::vector<std::vector<std::uint8_t>> corpus;
-  corpus.push_back(encode_frame(MsgType::kRequest,
-                                encode_request(sample_request(1))));
-  corpus.push_back(encode_frame(MsgType::kReply,
-                                encode_reply(sample_reply(2))));
+  WireRequestBatch rqb;
+  rqb.requests = {sample_request(1), sample_request(11)};
+  corpus.push_back(
+      encode_frame(MsgType::kRequestBatch, encode_request_batch(rqb)));
+  corpus.push_back(encode_frame(MsgType::kReplyBatch,
+                                encode_reply_batch(sample_reply_batch(2))));
+  WireCacheQuery q;
+  q.query_id = 5;
+  q.sigs = {WindowSig{1, 2}, WindowSig{3, 4}};
+  corpus.push_back(encode_frame(MsgType::kCacheQuery, encode_cache_query(q)));
+  corpus.push_back(encode_frame(MsgType::kCacheReply,
+                                encode_cache_reply(sample_cache_reply(6))));
   WireSync sync;
   sync.changed = {{0, Placement{1, 1, false}}};
   corpus.push_back(encode_frame(MsgType::kSync, encode_sync(sync)));
@@ -319,11 +422,17 @@ TEST(WireFuzz, MutatedFramesNeverEscapeWireError) {
       // caught above; a flip that lands in a dead zone cannot — the
       // checksum covers the payload only) must decode or throw WireError.
       switch (f->type) {
-        case MsgType::kRequest:
-          decode_request(f->payload);
+        case MsgType::kRequestBatch:
+          decode_request_batch(f->payload);
           break;
-        case MsgType::kReply:
-          decode_reply(f->payload);
+        case MsgType::kReplyBatch:
+          decode_reply_batch(f->payload);
+          break;
+        case MsgType::kCacheQuery:
+          decode_cache_query(f->payload);
+          break;
+        case MsgType::kCacheReply:
+          decode_cache_reply(f->payload);
           break;
         case MsgType::kSync:
           decode_sync(f->payload);
@@ -345,6 +454,17 @@ TEST(WireFuzz, MutatedPayloadsNeverEscapeWireError) {
   std::vector<std::uint8_t> request_bytes =
       encode_request(sample_request(3));
   std::vector<std::uint8_t> reply_bytes = encode_reply(sample_reply(4));
+  WireRequestBatch rqb;
+  rqb.requests = {sample_request(8), sample_request(9)};
+  std::vector<std::uint8_t> request_batch_bytes = encode_request_batch(rqb);
+  std::vector<std::uint8_t> reply_batch_bytes =
+      encode_reply_batch(sample_reply_batch(10));
+  WireCacheQuery q;
+  q.query_id = 11;
+  q.sigs = {WindowSig{1, 2}, WindowSig{3, 4}, WindowSig{5, 6}};
+  std::vector<std::uint8_t> cache_query_bytes = encode_cache_query(q);
+  std::vector<std::uint8_t> cache_reply_bytes =
+      encode_cache_reply(sample_cache_reply(12));
 
   Rng rng(77);
   auto mutate = [&rng](std::vector<std::uint8_t> b) {
@@ -367,6 +487,22 @@ TEST(WireFuzz, MutatedPayloadsNeverEscapeWireError) {
     }
     try {
       decode_design(mutate(design_bytes));
+    } catch (const WireError&) {
+    }
+    try {
+      decode_request_batch(mutate(request_batch_bytes));
+    } catch (const WireError&) {
+    }
+    try {
+      decode_reply_batch(mutate(reply_batch_bytes));
+    } catch (const WireError&) {
+    }
+    try {
+      decode_cache_query(mutate(cache_query_bytes));
+    } catch (const WireError&) {
+    }
+    try {
+      decode_cache_reply(mutate(cache_reply_bytes));
     } catch (const WireError&) {
     }
   }
