@@ -1,19 +1,52 @@
 #include "route/maze_router.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <queue>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.h"
 
 namespace vm1 {
 
+void MazeCostOptions::validate() const {
+  auto require = [](bool ok, double v, const char* field, const char* rule) {
+    if (ok && std::isfinite(v)) return;
+    throw std::invalid_argument(std::string("MazeCostOptions: ") + field +
+                                " must be finite and " + rule + ", got " +
+                                std::to_string(v));
+  };
+  require(via_cost > 0, via_cost, "via_cost", "> 0");
+  require(overuse_penalty >= 0, overuse_penalty, "overuse_penalty", ">= 0");
+  require(history_weight >= 0, history_weight, "history_weight", ">= 0");
+}
+
 MazeState::MazeState(const TrackGraph& graph, const MazeCostOptions& opts)
     : graph_(&graph), opts_(opts) {
+  opts_.validate();
+  // Layers alternate vertical and horizontal, so a walk between two
+  // different layers passes both kinds; staying on one layer needs a detour
+  // of two vias only when the move needs the other kind.
+  for (int a = 0; a < kNumRouteLayers; ++a) {
+    for (int b = 0; b < kNumRouteLayers; ++b) {
+      for (int need_h = 0; need_h < 2; ++need_h) {
+        for (int need_v = 0; need_v < 2; ++need_v) {
+          bool other_kind = TrackGraph::is_vertical(a) ? need_h : need_v;
+          int changes = a != b ? std::abs(a - b) : (other_kind ? 2 : 0);
+          via_floor_[a][b][need_h][need_v] = opts_.via_cost * changes;
+        }
+      }
+    }
+  }
   std::size_t n = graph.num_nodes();
   wire_use_.assign(n, 0);
   via_use_.assign(n, 0);
   history_.assign(n * 2, 0.0f);  // [0,n): wire history, [n,2n): via history
   dist_.assign(n, 0.0);
+  h_.assign(n, 0.0);
   parent_.assign(n, -1);
   stamp_.assign(n, 0);
   target_stamp_.assign(n, 0);
@@ -43,9 +76,10 @@ std::vector<std::size_t> MazeState::overused_edges() const {
   return out;
 }
 
-void MazeState::reset_usage() {
+void MazeState::reset() {
   std::fill(wire_use_.begin(), wire_use_.end(), 0);
   std::fill(via_use_.begin(), via_use_.end(), 0);
+  std::fill(history_.begin(), history_.end(), 0.0f);
 }
 
 double MazeState::wire_cost(int layer, std::size_t from_node) const {
@@ -73,26 +107,11 @@ std::vector<GNode> MazeState::search(const std::vector<GNode>& sources,
   const TrackGraph& g = *graph_;
   ++cur_stamp_;
 
+  std::vector<GNode> goals;
   for (const GNode& t : targets) {
     if (!g.valid(t.layer, t.gx, t.gy)) continue;
     target_stamp_[g.node_id(t.layer, t.gx, t.gy)] = cur_stamp_;
-  }
-
-  using QE = std::pair<double, std::size_t>;
-  std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
-
-  auto relax = [&](std::size_t id, double cost, std::int64_t par) {
-    if (stamp_[id] == cur_stamp_ && dist_[id] <= cost) return;
-    stamp_[id] = cur_stamp_;
-    dist_[id] = cost;
-    parent_[id] = par;
-    pq.push({cost, id});
-  };
-
-  for (const GNode& s : sources) {
-    if (!g.valid(s.layer, s.gx, s.gy)) continue;
-    if (!g.passable(s.layer, s.gx, s.gy, net)) continue;
-    relax(g.node_id(s.layer, s.gx, s.gy), 0.0, -1);
+    goals.push_back(t);
   }
 
   // Decode node id -> (layer, gx, gy).
@@ -107,17 +126,70 @@ std::vector<GNode> MazeState::search(const std::vector<GNode>& sources,
     return GNode{layer, gx, gy};
   };
 
-  std::size_t found = static_cast<std::size_t>(-1);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double h_len = static_cast<double>(TrackGraph::edge_len_dbu(kM2));
+  const double v_len = static_cast<double>(TrackGraph::edge_len_dbu(kM1));
+  auto heuristic = [&](const GNode& nd) {
+    double best = kInf;
+    for (const GNode& t : goals) {
+      int dx = std::abs(nd.gx - t.gx);
+      int dy = std::abs(nd.gy - t.gy);
+      best = std::min(best, h_len * dx + v_len * dy +
+                                via_floor_[nd.layer][t.layer][dx > 0][dy > 0]);
+    }
+    return best;
+  };
+
+  // Queue entries are (f = g + h, id); targets never enter the queue.
+  using QE = std::pair<double, std::size_t>;
+  std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::size_t found = kNone;
+  double found_g = kInf;
+
+  auto relax = [&](std::size_t id, double cost, std::int64_t par) {
+    if (stamp_[id] != cur_stamp_) {
+      stamp_[id] = cur_stamp_;
+      h_[id] = heuristic(decode(id));
+    } else if (cost > dist_[id]) {
+      return;
+    } else if (cost == dist_[id]) {
+      // Rule 1: of two optimal predecessors keep the one with the smaller
+      // (g, id), which Dijkstra would have expanded first.
+      std::int64_t old = parent_[id];
+      if (par < 0 || old < 0) return;  // a source listed twice
+      double gp = dist_[static_cast<std::size_t>(par)];
+      double go = dist_[static_cast<std::size_t>(old)];
+      if (gp < go || (gp == go && par < old)) parent_[id] = par;
+      return;
+    }
+    dist_[id] = cost;
+    parent_[id] = par;
+    if (target_stamp_[id] != cur_stamp_) {
+      pq.push({cost + h_[id], id});
+    } else if (cost < found_g || (cost == found_g && id < found)) {
+      found = id;  // rule 2: the target with the smallest (g, id)
+      found_g = cost;
+    }
+  };
+
+  // With no target on the lattice there is nothing to search for.
+  if (!goals.empty()) {
+    for (const GNode& s : sources) {
+      if (!g.valid(s.layer, s.gx, s.gy)) continue;
+      if (!g.passable(s.layer, s.gx, s.gy, net)) continue;
+      relax(g.node_id(s.layer, s.gx, s.gy), 0.0, -1);
+    }
+  }
+
   long popped = 0;
-  while (!pq.empty()) {
-    auto [cost, id] = pq.top();
+  // Rule 2: nothing left with f <= found_g can improve the path.
+  while (!pq.empty() && pq.top().first <= found_g) {
+    auto [f, id] = pq.top();
     pq.pop();
     ++popped;
-    if (stamp_[id] != cur_stamp_ || cost > dist_[id]) continue;
-    if (target_stamp_[id] == cur_stamp_) {
-      found = id;
-      break;
-    }
+    const double cost = dist_[id];
+    if (f > cost + h_[id]) continue;  // superseded by a cheaper entry
     GNode nd = decode(id);
 
     auto try_wire = [&](int fx, int fy, int tx, int ty, std::size_t from_id,
@@ -171,7 +243,7 @@ std::vector<GNode> MazeState::search(const std::vector<GNode>& sources,
   expansions_metric.add(popped);
 
   std::vector<GNode> path;
-  if (found == static_cast<std::size_t>(-1)) return path;
+  if (found == kNone) return path;
   std::int64_t cur = static_cast<std::int64_t>(found);
   while (cur >= 0) {
     path.push_back(decode(static_cast<std::size_t>(cur)));

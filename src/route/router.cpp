@@ -205,6 +205,10 @@ RouteMetrics Router::route() {
   static obs::Histogram& route_sec_metric = obs::histogram("route.sec");
   obs::ScopedTimer route_timer(route_sec_metric);
 
+  // Every call negotiates from scratch, so a second call repeats the first.
+  state_.reset();
+  net_routes_.assign(net_routes_.size(), NetRoute{});
+
   std::vector<int> order;
   for (int n = 0; n < nl.num_nets(); ++n) {
     if (!nl.net(n).routable()) continue;

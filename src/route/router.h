@@ -68,6 +68,7 @@ class Router {
   explicit Router(const Design& d, const RouterOptions& opts = {});
 
   /// Runs the full negotiated-congestion flow and returns the metrics.
+  /// Each call starts from zero usage and history, so calls repeat.
   RouteMetrics route();
 
   const TrackGraph& graph() const { return graph_; }

@@ -2,12 +2,148 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
+#include <queue>
+#include <stdexcept>
+#include <string>
 
 #include "cells/library_builder.h"
+#include "obs/metrics.h"
+#include "place/global_placer.h"
+#include "place/legalizer.h"
+#include "route/router.h"
+#include "util/rng.h"
 
 namespace vm1 {
 namespace {
+
+/// The router's maze search before it became A*: multi-source /
+/// multi-target Dijkstra that stops at the first target popped. Kept
+/// verbatim (members became locals, the costs come from `state`) as the
+/// oracle MazeState::search must reproduce node for node. It bumps the same
+/// counters, so `route.maze_expansions` deltas compare the two searches'
+/// heap pops.
+std::vector<GNode> reference_search(const MazeState& state,
+                                    const std::vector<GNode>& sources,
+                                    const std::vector<GNode>& targets,
+                                    int net, int bx0, int by0, int bx1,
+                                    int by1) {
+  const TrackGraph& g = state.graph();
+  std::vector<double> dist(g.num_nodes(), 0.0);
+  std::vector<std::int64_t> parent(g.num_nodes(), -1);
+  std::vector<std::uint32_t> stamp(g.num_nodes(), 0);
+  std::vector<std::uint32_t> target_stamp(g.num_nodes(), 0);
+  const std::uint32_t cur_stamp = 1;
+
+  for (const GNode& t : targets) {
+    if (!g.valid(t.layer, t.gx, t.gy)) continue;
+    target_stamp[g.node_id(t.layer, t.gx, t.gy)] = cur_stamp;
+  }
+
+  using QE = std::pair<double, std::size_t>;
+  std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
+
+  auto relax = [&](std::size_t id, double cost, std::int64_t par) {
+    if (stamp[id] == cur_stamp && dist[id] <= cost) return;
+    stamp[id] = cur_stamp;
+    dist[id] = cost;
+    parent[id] = par;
+    pq.push({cost, id});
+  };
+
+  for (const GNode& s : sources) {
+    if (!g.valid(s.layer, s.gx, s.gy)) continue;
+    if (!g.passable(s.layer, s.gx, s.gy, net)) continue;
+    relax(g.node_id(s.layer, s.gx, s.gy), 0.0, -1);
+  }
+
+  // Decode node id -> (layer, gx, gy).
+  const int wrow = g.width() + 1;
+  const std::size_t per_layer =
+      static_cast<std::size_t>(wrow) * (g.height() + 1);
+  auto decode = [&](std::size_t id) {
+    int layer = static_cast<int>(id / per_layer);
+    std::size_t rem = id % per_layer;
+    int gy = static_cast<int>(rem / wrow);
+    int gx = static_cast<int>(rem % wrow);
+    return GNode{layer, gx, gy};
+  };
+
+  std::size_t found = static_cast<std::size_t>(-1);
+  long popped = 0;
+  while (!pq.empty()) {
+    auto [cost, id] = pq.top();
+    pq.pop();
+    ++popped;
+    if (stamp[id] != cur_stamp || cost > dist[id]) continue;
+    if (target_stamp[id] == cur_stamp) {
+      found = id;
+      break;
+    }
+    GNode nd = decode(id);
+
+    auto try_wire = [&](int fx, int fy, int tx, int ty, std::size_t from_id,
+                        std::size_t to_id) {
+      // Edge is identified by its low/left endpoint (fx, fy).
+      if (fx < bx0 || tx > bx1 || fy < by0 || ty > by1) return;
+      if (!g.edge_allowed(nd.layer, fx, fy, net)) return;
+      double c = cost + state.wire_cost(nd.layer, from_id);
+      relax(to_id, c, static_cast<std::int64_t>(id));
+    };
+
+    if (TrackGraph::is_vertical(nd.layer)) {
+      if (nd.gy < g.height()) {
+        try_wire(nd.gx, nd.gy, nd.gx, nd.gy + 1, id,
+                 g.node_id(nd.layer, nd.gx, nd.gy + 1));
+      }
+      if (nd.gy > 0) {
+        std::size_t to = g.node_id(nd.layer, nd.gx, nd.gy - 1);
+        try_wire(nd.gx, nd.gy - 1, nd.gx, nd.gy, to, to);
+      }
+    } else {
+      if (nd.gx < g.width()) {
+        try_wire(nd.gx, nd.gy, nd.gx + 1, nd.gy, id,
+                 g.node_id(nd.layer, nd.gx + 1, nd.gy));
+      }
+      if (nd.gx > 0) {
+        std::size_t to = g.node_id(nd.layer, nd.gx - 1, nd.gy);
+        try_wire(nd.gx - 1, nd.gy, nd.gx, nd.gy, to, to);
+      }
+    }
+
+    // Vias: between layer l and l+1 at this (gx, gy).
+    for (int dl : {+1, -1}) {
+      int nl = nd.layer + dl;
+      if (nl < 0 || nl >= kNumRouteLayers) continue;
+      if (!g.valid(nl, nd.gx, nd.gy)) continue;
+      if (!g.passable(nl, nd.gx, nd.gy, net)) continue;
+      if (nd.gx < bx0 || nd.gx > bx1 || nd.gy < by0 || nd.gy > by1) continue;
+      int low_layer = std::min(nd.layer, nl);
+      std::size_t low_id = g.node_id(low_layer, nd.gx, nd.gy);
+      double c = cost + state.via_cost(low_id);
+      relax(g.node_id(nl, nd.gx, nd.gy), c, static_cast<std::int64_t>(id));
+    }
+  }
+
+  // One bulk add per search keeps the pop loop metric-free.
+  static obs::Counter& searches_metric = obs::counter("route.maze_searches");
+  static obs::Counter& expansions_metric =
+      obs::counter("route.maze_expansions");
+  searches_metric.add();
+  expansions_metric.add(popped);
+
+  std::vector<GNode> path;
+  if (found == static_cast<std::size_t>(-1)) return path;
+  std::int64_t cur = static_cast<std::int64_t>(found);
+  while (cur >= 0) {
+    path.push_back(decode(static_cast<std::size_t>(cur)));
+    cur = parent[static_cast<std::size_t>(cur)];
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
 
 /// Empty design: free routing fabric with no cells (OpenM1 so no PG
 /// staples when disabled via options, and no pin blockage).
@@ -77,6 +213,15 @@ TEST_F(MazeTest, MultiSourceMultiTargetPicksNearest) {
   EXPECT_EQ(path.back().gx, 31);
 }
 
+TEST_F(MazeTest, NoTargetOnTheLatticeFindsNothing) {
+  // M3 runs on even gx only: this target does not exist, and with no
+  // target left the search pops nothing.
+  obs::Counter& pops = obs::counter("route.maze_expansions");
+  long before = pops.value();
+  EXPECT_TRUE(search({kM1, 5, 2}, {kM3, 5, 9}).empty());
+  EXPECT_EQ(pops.value(), before);
+}
+
 TEST_F(MazeTest, BboxRestrictsSearch) {
   // Target outside the bbox: unreachable.
   auto path = state_.search({{kM1, 5, 2}}, {{kM1, 5, 9}}, 0, 0, 0,
@@ -110,8 +255,11 @@ TEST_F(MazeTest, OverflowTrackingAndHistory) {
   ASSERT_EQ(over.size(), 1u);
   EXPECT_EQ(over[0], edge);
   state_.accumulate_history();
-  state_.reset_usage();
+  const double base = TrackGraph::edge_len_dbu(kM1);
+  EXPECT_GT(state_.wire_cost(kM1, edge), base);  // overuse plus history
+  state_.reset();
   EXPECT_EQ(state_.total_overflow(), 0);
+  EXPECT_EQ(state_.wire_cost(kM1, edge), base);  // history cleared too
 }
 
 TEST_F(MazeTest, ViaCostDiscouragesLayerHopping) {
@@ -119,6 +267,177 @@ TEST_F(MazeTest, ViaCostDiscouragesLayerHopping) {
   auto path = search({kM1, 8, 3}, {kM1, 8, 6});
   for (const GNode& n : path) EXPECT_EQ(n.layer, kM1);
 }
+
+/// Each value must make validate() throw, naming `field`.
+void expect_rejected(double MazeCostOptions::*field, const char* name) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {-1.0, -1e-9, nan, inf, -inf}) {
+    MazeCostOptions opts;
+    opts.*field = bad;
+    try {
+      opts.validate();
+      ADD_FAILURE() << name << " = " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(MazeCostOptions, DefaultsAreValid) {
+  EXPECT_NO_THROW(MazeCostOptions{}.validate());
+  MazeCostOptions free_congestion;
+  free_congestion.overuse_penalty = 0;
+  free_congestion.history_weight = 0;
+  EXPECT_NO_THROW(free_congestion.validate());
+}
+
+TEST(MazeCostOptions, RejectsViaCostThatIsNotPositive) {
+  // A zero-cost via ties g across layers and breaks the (g, id) pop order
+  // the A*/Dijkstra equivalence rests on.
+  expect_rejected(&MazeCostOptions::via_cost, "via_cost");
+  MazeCostOptions opts;
+  opts.via_cost = 0;
+  EXPECT_THROW(opts.validate(), std::invalid_argument);
+}
+
+TEST(MazeCostOptions, RejectsNegativeOverusePenalty) {
+  expect_rejected(&MazeCostOptions::overuse_penalty, "overuse_penalty");
+}
+
+TEST(MazeCostOptions, RejectsNegativeHistoryWeight) {
+  expect_rejected(&MazeCostOptions::history_weight, "history_weight");
+}
+
+TEST_F(MazeTest, ConstructorValidatesCostOptions) {
+  MazeCostOptions opts;
+  opts.via_cost = -4;
+  EXPECT_THROW(MazeState(graph_, opts), std::invalid_argument);
+}
+
+/// Differential test: on a routed design (so usage and history are not
+/// trivial), MazeState::search and the Dijkstra oracle return the same path
+/// node for node — or both none — for random multi-node source sets and
+/// pin-access target sets, full-core, bbox-clipped and unreachable; over
+/// the whole draw the A* search pops fewer heap entries than the oracle.
+class MazeDifferential : public ::testing::TestWithParam<CellArch> {};
+
+TEST_P(MazeDifferential, SearchReturnsTheDijkstraPath) {
+  DesignOptions opts;
+  opts.utilization = 0.85;  // congested: rip-up rounds leave history
+  Design d = make_design("tiny", GetParam(), opts);
+  global_place(d);
+  legalize(d);
+  obs::Counter& rounds = obs::counter("route.ripup_rounds");
+  long rounds0 = rounds.value();
+  Router router(d);
+  router.route();
+  ASSERT_GT(rounds.value(), rounds0) << "no rip-up round: history is zero";
+  MazeState state = router.state();  // the final usage and history
+  const TrackGraph& g = router.graph();
+  const Netlist& nl = d.netlist();
+
+  std::vector<int> nets;
+  for (int n = 0; n < nl.num_nets(); ++n) {
+    if (nl.net(n).routable()) nets.push_back(n);
+  }
+  ASSERT_FALSE(nets.empty());
+  auto access = [&](const NetPin& p) {
+    return p.is_io() ? g.io_access_nodes(p.pin)
+                     : g.pin_access_nodes(p.inst, p.pin);
+  };
+
+  Rng rng(0xA57A4ULL + static_cast<std::uint64_t>(GetParam()));
+  obs::Counter& pops = obs::counter("route.maze_expansions");
+  long ref_pops_total = 0;
+  long pops_total = 0;
+  int found = 0;
+  int unreachable = 0;
+  constexpr int kSearches = 300;
+  for (int i = 0; i < kSearches; ++i) {
+    int net = nets[rng.uniform(nets.size())];
+    const Net& net_pins = nl.net(net);
+    // Targets: one pin's access nodes, sometimes a second pin's too.
+    std::size_t tp = rng.uniform(net_pins.pins.size());
+    std::vector<GNode> targets = access(net_pins.pins[tp]);
+    if (rng.chance(0.25)) {
+      std::vector<GNode> more =
+          access(net_pins.pins[rng.uniform(net_pins.pins.size())]);
+      targets.insert(targets.end(), more.begin(), more.end());
+    }
+    // Sources: another pin's access nodes plus a few random nodes, some of
+    // them off the lattice (M3 at odd gx, M4 at odd gy).
+    std::vector<GNode> sources =
+        access(net_pins.pins[(tp + 1) % net_pins.pins.size()]);
+    for (int k = static_cast<int>(rng.uniform(4)); k > 0; --k) {
+      sources.push_back(
+          GNode{static_cast<int>(rng.uniform(kNumRouteLayers)),
+                static_cast<int>(rng.uniform_int(0, g.width())),
+                static_cast<int>(rng.uniform_int(0, g.height()))});
+    }
+    // Now and then search as another net, whose pins block this one's.
+    if (rng.chance(0.1)) net = static_cast<int>(rng.uniform(nl.num_nets()));
+    int bx0 = 0, by0 = 0, bx1 = g.width(), by1 = g.height();
+    double kind = rng.uniform_real();
+    if (kind < 0.4) {
+      // The router's clip: the terminals' bbox plus a random margin.
+      bx0 = g.width(), by0 = g.height(), bx1 = 0, by1 = 0;
+      for (const auto* set : {&sources, &targets}) {
+        for (const GNode& n : *set) {
+          bx0 = std::min(bx0, n.gx);
+          by0 = std::min(by0, n.gy);
+          bx1 = std::max(bx1, n.gx);
+          by1 = std::max(by1, n.gy);
+        }
+      }
+      int m = static_cast<int>(rng.uniform(8));
+      bx0 = std::max(0, bx0 - m);
+      by0 = std::max(0, by0 - m);
+      bx1 = std::min(g.width(), bx1 + m);
+      by1 = std::min(g.height(), by1 + m);
+    } else if (kind < 0.55 && !sources.empty()) {
+      // A box around the first source alone: the targets usually lie
+      // outside it, so the whole box is searched in vain.
+      const GNode& s = sources.front();
+      int m = static_cast<int>(rng.uniform_int(1, 6));
+      bx0 = std::max(0, s.gx - m);
+      by0 = std::max(0, s.gy - m);
+      bx1 = std::min(g.width(), s.gx + m);
+      by1 = std::min(g.height(), s.gy + m);
+    }
+
+    long p0 = pops.value();
+    std::vector<GNode> want =
+        reference_search(state, sources, targets, net, bx0, by0, bx1, by1);
+    long p1 = pops.value();
+    std::vector<GNode> got =
+        state.search(sources, targets, net, bx0, by0, bx1, by1);
+    long p2 = pops.value();
+    ASSERT_EQ(got.size(), want.size()) << "search " << i;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      ASSERT_EQ(got[k], want[k]) << "search " << i << " node " << k;
+    }
+    ref_pops_total += p1 - p0;
+    pops_total += p2 - p1;
+    (want.empty() ? unreachable : found) += 1;
+  }
+  // The draw must cover both outcomes.
+  EXPECT_GT(found, kSearches / 4);
+  EXPECT_GT(unreachable, 0);
+  // Over the draw, not per search: A* expands only nodes Dijkstra expands
+  // too, but its f order can relax a node twice where Dijkstra's g order
+  // relaxes it once, so a search that ends up exploring its whole box (an
+  // unreachable target) can pop a few superseded entries more.
+  EXPECT_LE(pops_total, ref_pops_total);
+  std::printf("%d found, %d unreachable; heap pops %ld (oracle %ld)\n", found,
+              unreachable, pops_total, ref_pops_total);
+}
+
+INSTANTIATE_TEST_SUITE_P(Archs, MazeDifferential,
+                         ::testing::Values(CellArch::kClosedM1,
+                                           CellArch::kOpenM1,
+                                           CellArch::kConventional12T));
 
 }  // namespace
 }  // namespace vm1

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 
 #include "cells/library_builder.h"
+#include "core/flow.h"
 #include "place/global_placer.h"
 #include "place/hpwl.h"
 #include "place/legalizer.h"
 #include "route/metrics.h"
+#include "util/hash.h"
 
 namespace vm1 {
 namespace {
@@ -20,6 +24,39 @@ Design placed_design(CellArch arch, double util = 0.75) {
   global_place(d);
   legalize(d);
   return d;
+}
+
+/// aes / ClosedM1 at the paper-flow operating point (scale 0.25,
+/// utilization 0.75, seed 0), placed as prepare_design() places it.
+Design aes_quarter() {
+  FlowOptions f;
+  f.design_name = "aes";
+  f.arch = CellArch::kClosedM1;
+  f.design.scale = 0.25;
+  f.design.utilization = 0.75;
+  return prepare_design(f, nullptr);
+}
+
+/// FNV-1a over every net's routing: its sorted wire-edge ids, its sorted
+/// via-edge ids (each list led by its length) and its dM1 count. The golden
+/// corpus records only sums, which two different routings can share.
+std::uint64_t route_digest(const Router& router) {
+  std::vector<std::uint8_t> bytes;
+  auto put = [&](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      bytes.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+    }
+  };
+  for (const NetRoute& nr : router.net_routes()) {
+    for (const auto* edges : {&nr.wire_edges, &nr.via_edges}) {
+      std::vector<std::size_t> ids(edges->begin(), edges->end());
+      std::sort(ids.begin(), ids.end());
+      put(ids.size());
+      for (std::size_t e : ids) put(e);
+    }
+    put(static_cast<std::uint64_t>(nr.dm1));
+  }
+  return hash::fnv1a64(bytes.data(), bytes.size());
 }
 
 class RouterPerArch : public ::testing::TestWithParam<CellArch> {};
@@ -205,6 +242,56 @@ TEST(Router, CongestionMapCoversOverflow) {
   if (m.drv > 0) {
     std::string art = render_congestion(map);
     EXPECT_FALSE(art.empty());
+  }
+}
+
+TEST(Router, RouteTwiceGivesIdenticalResults) {
+  // A second route() on one Router starts from zero usage and history, so
+  // it repeats the first call exactly.
+  Design d = aes_quarter();
+  Router router(d);
+  RouteMetrics a = router.route();
+  const std::vector<NetRoute> first = router.net_routes();
+  RouteMetrics b = router.route();
+  EXPECT_EQ(a.drv, b.drv);
+  EXPECT_EQ(a.rwl_dbu, b.rwl_dbu);
+  EXPECT_EQ(a.via12, b.via12);
+  EXPECT_EQ(a.via23, b.via23);
+  EXPECT_EQ(a.via34, b.via34);
+  EXPECT_EQ(a.num_dm1, b.num_dm1);
+  EXPECT_EQ(a.num_m1_segments, b.num_m1_segments);
+  EXPECT_EQ(a.unrouted, b.unrouted);
+  const std::vector<NetRoute>& second = router.net_routes();
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t n = 0; n < first.size(); ++n) {
+    EXPECT_EQ(first[n].wire_edges, second[n].wire_edges) << "net " << n;
+    EXPECT_EQ(first[n].via_edges, second[n].via_edges) << "net " << n;
+    EXPECT_EQ(first[n].dm1, second[n].dm1) << "net " << n;
+  }
+}
+
+TEST(Router, RouteDigestIsFrozen) {
+  // Per-net routes, not just their sums, are part of the router's contract:
+  // a faster search must return the very same paths.
+  struct Case {
+    const char* name;
+    Design design;
+    std::uint64_t digest;
+  };
+  Case cases[] = {
+      {"tiny/ClosedM1", placed_design(CellArch::kClosedM1),
+       0x1400a256764af649ULL},
+      {"tiny/OpenM1", placed_design(CellArch::kOpenM1),
+       0x1f3508a5bad9fcf4ULL},
+      {"tiny/Conventional12T", placed_design(CellArch::kConventional12T),
+       0xc370aec6e68c50c5ULL},
+      {"aes/ClosedM1@0.25", aes_quarter(), 0x02dad79758c10fa3ULL},
+  };
+  for (Case& c : cases) {
+    Router router(c.design);
+    router.route();
+    std::uint64_t got = route_digest(router);
+    EXPECT_EQ(got, c.digest) << c.name << ": digest 0x" << std::hex << got;
   }
 }
 
