@@ -157,13 +157,4 @@ Library build_library(CellArch arch) {
   return lib;
 }
 
-std::string best_filler(const Library& lib, int sites) {
-  for (int w : {4, 2, 1}) {
-    if (w <= sites && lib.find("FILL" + std::to_string(w)) >= 0) {
-      return "FILL" + std::to_string(w);
-    }
-  }
-  return {};
-}
-
 }  // namespace vm1

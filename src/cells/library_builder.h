@@ -19,8 +19,4 @@ namespace vm1 {
 /// given architecture.
 Library build_library(CellArch arch);
 
-/// Name of the widest filler <= `sites` wide, or empty if none fits.
-/// Fillers are FILL1 / FILL2 / FILL4.
-std::string best_filler(const Library& lib, int sites);
-
 }  // namespace vm1

@@ -141,8 +141,6 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
   static obs::Histogram& window_solve_sec_metric =
       obs::histogram("dist_opt.window_solve_sec");
   static obs::Gauge& objective_metric = obs::gauge("dist_opt.objective");
-  static obs::Counter& skipped_metric =
-      obs::counter("dist_opt.windows_skipped");
   static obs::Counter& sig_hits_metric =
       obs::counter("dist_opt.signature_hits");
   static obs::Counter& sig_misses_metric =
@@ -486,7 +484,6 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
           classify(WindowOutcome::kCachedRemote);
         } else {
           ++stats.skipped;
-          skipped_metric.add();
           classify(WindowOutcome::kSkipped);
         }
         stats.cells_changed += static_cast<int>(job->memo.changed.size());

@@ -8,10 +8,8 @@
 /// reduced costs), so Devex costs nothing extra per iteration yet sharply
 /// cuts the pivot count on the degenerate assignment-shaped LPs the window
 /// MILPs produce. The framework resets to unit weights when they have grown
-/// past the trust threshold.
-///
-/// Dantzig pricing (largest |z_j|) is kept selectable for differential
-/// testing (Options::pricing).
+/// past the trust threshold. Devex is the only pricing rule; the engine
+/// falls back to Bland's rule after a stall (RevisedCore::choose_entering).
 #pragma once
 
 #include <vector>

@@ -243,22 +243,7 @@ int RevisedCore::choose_entering(bool bland) const {
     }
     return -1;
   }
-  if (opts_.pricing == Pricing::kDevex) {
-    return devex_.choose(zrow_, dir_, opts_.tol);
-  }
-  // Dantzig: largest reduced-cost improvement (the dense engine's rule).
-  const double* z = zrow_.data();
-  const double* d = dir_.data();
-  int best = -1;
-  double best_score = opts_.tol;
-  for (int j = 0; j < ncols_; ++j) {
-    const double g = d[j] * z[j];
-    if (g < -opts_.tol && -g > best_score) {
-      best_score = -g;
-      best = j;
-    }
-  }
-  return best;
+  return devex_.choose(zrow_, dir_, opts_.tol);
 }
 
 bool RevisedCore::apply_pivot(int r, int q, int leave_dir, double enter_val,
@@ -266,7 +251,7 @@ bool RevisedCore::apply_pivot(int r, int q, int leave_dir, double enter_val,
   const double arq = ws_.alpha[r];
   if (!factor_.append(r, ws_.alpha.data(), opts_.pivot_tol)) return false;
   const int leaving = basis_[r];
-  if (use_devex && opts_.pricing == Pricing::kDevex) {
+  if (use_devex) {
     devex_.update(q, leaving, arq, ws_.rowvals.data(), ws_.support.data(),
                   static_cast<int>(ws_.support.size()), dir_);
   }
@@ -312,7 +297,7 @@ Status RevisedCore::iterate(bool phase1) {
     ftran_column(j);
     const double* alpha = ws_.alpha.data();
 
-    // Ratio test (identical semantics to the dense engine).
+    // Ratio test.
     double t_max = ub_[j];  // bound-flip distance (may be inf)
     int leave_row = -1;
     int leave_dir = 0;  // +1: leaving var hits lower; -1: hits upper
@@ -390,10 +375,9 @@ Status RevisedCore::iterate(bool phase1) {
 
 /// Bounded-variable dual simplex over the factorized basis. Requires a
 /// dual-feasible basis; repairs primal bound violations of basic variables
-/// one leaving row at a time, exactly like the dense engine — except that a
-/// pivot costs one BTRAN + one FTRAN + a sparse row gather, and an
-/// infeasibility verdict is certified by an O(nnz) residual check instead of
-/// a refactorization.
+/// one leaving row at a time. A pivot costs one BTRAN + one FTRAN + a sparse
+/// row gather, and an infeasibility verdict is certified by an O(nnz)
+/// residual check instead of a refactorization.
 Status RevisedCore::dual_iterate() {
   int stall = 0;
   bool bland = false;
@@ -525,37 +509,10 @@ std::vector<double> RevisedCore::recover_x() const {
   return x;
 }
 
-/// Fills x/objective/basis/reduced costs of an optimal result. The basis is
-/// exported only when no artificial column remained basic (otherwise it is
-/// not expressible in the structural+slack column space).
+/// Fills x/objective/reduced costs of an optimal result.
 void RevisedCore::export_optimal(const Problem& p, Result* res) const {
   res->x = recover_x();
   res->objective = p.objective_value(res->x);
-  const int n_real = n_struct_ + m_;
-  bool clean = true;
-  for (int i = 0; i < m_; ++i) {
-    if (basis_[i] >= n_real) {
-      clean = false;
-      break;
-    }
-  }
-  if (clean) {
-    res->basis.basic = basis_;
-    res->basis.state.resize(n_real);
-    for (int j = 0; j < n_real; ++j) {
-      switch (state_[j]) {
-        case VarState::kBasic:
-          res->basis.state[j] = BasisState::kBasic;
-          break;
-        case VarState::kAtLower:
-          res->basis.state[j] = BasisState::kAtLower;
-          break;
-        case VarState::kAtUpper:
-          res->basis.state[j] = BasisState::kAtUpper;
-          break;
-      }
-    }
-  }
   res->reduced_cost.assign(zrow_.begin(), zrow_.begin() + n_struct_);
 }
 
@@ -693,7 +650,6 @@ Result RevisedCore::reoptimize_dual(const Problem& p) {
     export_optimal(p, &res);
     if (p.max_violation(res.x) <= 1e-6) return res;
     res.x.clear();
-    res.basis = Basis{};
     res.reduced_cost.clear();
   }
   // Persistent violation even after refactorizing: cold restart.
@@ -710,103 +666,6 @@ bool RevisedCore::set_bounds_incremental(int v, double lo, double hi) {
   shift_[v] = lo;
   ub_[v] = std::isfinite(hi) ? hi - lo : kInf;
   return true;
-}
-
-std::optional<Result> RevisedCore::run_from_basis(const Problem& p,
-                                                  const Basis& warm) {
-  const int n_real = n_struct_ + m_;
-  if (static_cast<int>(warm.basic.size()) != m_ ||
-      static_cast<int>(warm.state.size()) != n_real) {
-    return std::nullopt;
-  }
-
-  iterations_ = 0;
-  dual_iterations_ = 0;
-  timer_.reset();
-  shift_.resize(n_struct_);
-  for (int v = 0; v < n_struct_; ++v) shift_[v] = p.lower_bound(v);
-
-  art_row_.clear();
-  art_sign_.clear();
-  need_phase1_ = false;
-  size_for(0);
-
-  for (int v = 0; v < n_struct_; ++v) {
-    const double hi = p.upper_bound(v);
-    ub_[v] = std::isfinite(hi) ? hi - shift_[v] : kInf;
-    cost2_[v] = p.cost(v);
-  }
-  for (int i = 0; i < m_; ++i) {
-    ub_[n_struct_ + i] = (p.constraint(i).sense == Sense::kEq) ? 0.0 : kInf;
-  }
-
-  basis_ = warm.basic;
-  for (int j = 0; j < ncols_; ++j) {
-    switch (warm.state[j]) {
-      case BasisState::kBasic:
-        set_state(j, VarState::kBasic);
-        break;
-      case BasisState::kAtLower:
-        set_state(j, VarState::kAtLower);
-        break;
-      case BasisState::kAtUpper:
-        if (!std::isfinite(ub_[j])) return std::nullopt;
-        set_state(j, VarState::kAtUpper);
-        break;
-    }
-  }
-  for (int i = 0; i < m_; ++i) {
-    const int c = basis_[i];
-    if (c < 0 || c >= ncols_ || state_[c] != VarState::kBasic) {
-      return std::nullopt;
-    }
-  }
-
-  if (!refactorize()) return std::nullopt;  // singular warm basis
-  recompute_beta();
-  cost_ = cost2_;
-  recompute_zrow();
-
-  bool dual_feasible = true;
-  for (int j = 0; j < ncols_ && dual_feasible; ++j) {
-    if (state_[j] == VarState::kAtLower && zrow_[j] < -10 * opts_.tol) {
-      dual_feasible = false;
-    } else if (state_[j] == VarState::kAtUpper && zrow_[j] > 10 * opts_.tol) {
-      dual_feasible = false;
-    }
-  }
-
-  if (dual_feasible) {
-    Result res = reoptimize_dual(p);
-    if (res.status == Status::kOptimal || res.status == Status::kInfeasible) {
-      return res;
-    }
-    return std::nullopt;  // stall or drift: cold restart
-  }
-
-  bool primal_feasible = true;
-  for (int i = 0; i < m_ && primal_feasible; ++i) {
-    if (beta_[i] < -opts_.tol || beta_[i] > ub_[basis_[i]] + opts_.tol) {
-      primal_feasible = false;
-    }
-  }
-  if (primal_feasible) {
-    // Bound changes that only relax can leave the basis primal feasible but
-    // dual infeasible; phase 2 from here still skips phase 1.
-    Status s = iterate(/*phase1=*/false);
-    Result res;
-    res.status = s;
-    res.iterations = iterations_;
-    res.warm_start_used = true;
-    if (s == Status::kOptimal) {
-      export_optimal(p, &res);
-      if (p.max_violation(res.x) > 1e-6) return std::nullopt;
-      return res;
-    }
-    if (s == Status::kUnbounded) return res;
-    return std::nullopt;
-  }
-  return std::nullopt;
 }
 
 }  // namespace vm1::lp::detail

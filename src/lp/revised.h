@@ -1,8 +1,9 @@
 /// \file revised.h
-/// Revised simplex engine (Engine::kRevised, the default).
+/// Revised simplex core: the one LP engine behind SimplexSolver and
+/// IncrementalSimplex.
 ///
-/// Instead of the dense engine's explicit m x ncols tableau (rewritten in
-/// full on every pivot), this engine keeps only:
+/// Instead of an explicit m x ncols tableau (rewritten in full on every
+/// pivot), this engine keeps only:
 ///  * the shared sparse constraint columns (Problem::columns(), CSC + CSR),
 ///  * a product-form factorization of the current basis (EtaFactor):
 ///    Markowitz-ordered sparse Gauss-Jordan etas plus one rank-1 update eta
@@ -16,8 +17,8 @@
 /// runs only when the file passes the scheduled interval or a per-pivot
 /// consistency check detects drift; verdicts are validated by O(nnz)
 /// residual checks against the original matrix instead of by refactorizing,
-/// which is what cuts lp.refactorizations by orders of magnitude versus the
-/// dense engine's refactor-to-certify policy.
+/// which is what cuts lp.refactorizations by orders of magnitude versus a
+/// refactor-to-certify policy.
 ///
 /// Bases with at most Options::dense_inverse_dim rows additionally collapse
 /// the factorization into an explicit dense B^-1 (EtaFactor::collapse):
@@ -33,7 +34,6 @@
 /// accumulate across a branch-and-bound dive.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "lp/factor.h"
@@ -63,9 +63,8 @@ struct SolveWorkspace {
 };
 
 /// The engine proper: one instance per SimplexSolver::solve call, or one
-/// long-lived instance inside IncrementalSimplex. Mirrors the DenseTableau
-/// interface so the dispatch in simplex.cpp is symmetric. The Problem passed
-/// to the constructor must outlive the core and must not gain variables or
+/// long-lived instance inside IncrementalSimplex. The Problem passed to the
+/// constructor must outlive the core and must not gain variables or
 /// constraints afterwards (bound changes are fine).
 class RevisedCore {
  public:
@@ -73,11 +72,6 @@ class RevisedCore {
 
   /// Cold path: slack/artificial start, phase 1 if needed, primal phase 2.
   Result run_cold(const Problem& p);
-
-  /// Warm path from an exported basis: factorize, then dual simplex (or
-  /// primal phase 2 when the basis is primal- but not dual-feasible).
-  /// nullopt means the basis was unusable and the caller should cold start.
-  std::optional<Result> run_from_basis(const Problem& p, const Basis& warm);
 
   /// Incremental interface: records the new bounds; beta is recomputed from
   /// scratch (one FTRAN) at the next reoptimize_dual, so this is O(1).
@@ -89,8 +83,6 @@ class RevisedCore {
   /// or kInfeasible (both trustworthy), or kIterLimit when the caller
   /// should cold restart (stall, drifted solution, singular basis).
   Result reoptimize_dual(const Problem& p);
-
-  int iterations() const { return iterations_; }
 
  private:
   enum class VarState : unsigned char { kBasic, kAtLower, kAtUpper };
@@ -128,8 +120,8 @@ class RevisedCore {
 
   int choose_entering(bool bland) const;
   /// Shared pivot bookkeeping once (r, q) is fixed and ws_.alpha /
-  /// ws_.rowvals are loaded: eta append, incremental zrow update, state and
-  /// basis flips. beta is updated by the caller (primal and dual move it
+  /// ws_.rowvals are loaded: eta append, Devex weights (primal only),
+  /// incremental zrow update, state and basis flips. beta is updated by the caller (primal and dual move it
   /// differently). Returns false when the eta pivot is numerically unusable.
   bool apply_pivot(int r, int q, int leave_dir, double enter_val,
                    bool use_devex);

@@ -2,9 +2,7 @@
 
 #include <cassert>
 #include <cmath>
-#include <optional>
 
-#include "lp/dense_tableau.h"
 #include "lp/revised.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -14,7 +12,7 @@ namespace vm1::lp {
 namespace {
 
 /// Per-solve totals are bulk-added at the solve entry points; only the
-/// (rare) basis refactorization counts from inside the engines.
+/// (rare) basis refactorization counts from inside the core.
 void record_solve(const Result& r, bool warm) {
   static obs::Counter& solves = obs::counter("lp.solves");
   static obs::Counter& pivots = obs::counter("lp.pivots");
@@ -38,16 +36,6 @@ const char* to_string(Status s) {
       return "unbounded";
     case Status::kIterLimit:
       return "iteration-limit";
-  }
-  return "?";
-}
-
-const char* to_string(Engine e) {
-  switch (e) {
-    case Engine::kRevised:
-      return "revised";
-    case Engine::kDense:
-      return "dense";
   }
   return "?";
 }
@@ -179,85 +167,23 @@ Result SimplexSolver::solve(const Problem& p) const {
     return r;
   }
   obs::ObsSpan span("lp.solve");
-  span.arg("engine", to_string(opts_.engine)).arg("warm", "cold");
-  Result r;
-  if (opts_.engine == Engine::kDense) {
-    detail::DenseTableau t(p, opts_);
-    r = t.run_cold(p);
-  } else {
-    detail::RevisedCore c(p, opts_);
-    r = c.run_cold(p);
-  }
+  span.arg("warm", "cold");
+  detail::RevisedCore c(p, opts_);
+  Result r = c.run_cold(p);
   span.arg("status", to_string(r.status));
   record_solve(r, /*warm=*/false);
   return r;
 }
 
-Result SimplexSolver::solve(const Problem& p, const Basis* warm) const {
-  if (!warm || warm->empty() || p.num_variables() == 0) return solve(p);
-  std::optional<Result> res;
-  int wasted = 0;
-  {
-    obs::ObsSpan span("lp.solve");
-    span.arg("engine", to_string(opts_.engine)).arg("warm", "warm");
-    if (opts_.engine == Engine::kDense) {
-      detail::DenseTableau t(p, opts_);
-      res = t.run_from_basis(p, *warm);
-      if (!res) wasted = t.iterations();
-    } else {
-      detail::RevisedCore c(p, opts_);
-      res = c.run_from_basis(p, *warm);
-      if (!res) wasted = c.iterations();
-    }
-    span.arg("status", res ? to_string(res->status) : "cold-restart");
-  }
-  if (res) {
-    record_solve(*res, /*warm=*/true);
-    return *res;
-  }
-  Result cold = solve(p);  // record_solve runs inside
-  cold.iterations += wasted;
-  return cold;
-}
-
-/// Engine-dispatching pimpl: exactly one of the two cores is live,
-/// selected once at construction from Options::engine.
-struct IncrementalSimplex::Impl {
-  Impl(const Problem& p, const SimplexSolver::Options& opts) {
-    if (opts.engine == Engine::kDense) {
-      dense = std::make_unique<detail::DenseTableau>(p, opts);
-    } else {
-      revised = std::make_unique<detail::RevisedCore>(p, opts);
-    }
-  }
-
-  Result run_cold(const Problem& p) {
-    return dense ? dense->run_cold(p) : revised->run_cold(p);
-  }
-  Result reoptimize_dual(const Problem& p) {
-    return dense ? dense->reoptimize_dual(p) : revised->reoptimize_dual(p);
-  }
-  bool set_bounds_incremental(int v, double lo, double hi) {
-    return dense ? dense->set_bounds_incremental(v, lo, hi)
-                 : revised->set_bounds_incremental(v, lo, hi);
-  }
-  int iterations() const {
-    return dense ? dense->iterations() : revised->iterations();
-  }
-
-  std::unique_ptr<detail::DenseTableau> dense;
-  std::unique_ptr<detail::RevisedCore> revised;
-};
-
 IncrementalSimplex::IncrementalSimplex(const Problem& p,
                                        const SimplexSolver::Options& opts)
-    : prob_(p), opts_(opts), impl_(std::make_unique<Impl>(prob_, opts)) {}
+    : prob_(p), core_(std::make_unique<detail::RevisedCore>(prob_, opts)) {}
 
 IncrementalSimplex::~IncrementalSimplex() = default;
 
 void IncrementalSimplex::set_bounds(int v, double lo, double hi) {
   prob_.set_bounds(v, lo, hi);
-  if (hot_) hot_ = impl_->set_bounds_incremental(v, lo, hi);
+  if (hot_) hot_ = core_->set_bounds_incremental(v, lo, hi);
 }
 
 void IncrementalSimplex::invalidate() { hot_ = false; }
@@ -270,12 +196,11 @@ Result IncrementalSimplex::solve() {
     return r;
   }
   obs::ObsSpan span("lp.solve");
-  span.arg("engine", to_string(opts_.engine))
-      .arg("warm", hot_ ? "warm" : "cold");
+  span.arg("warm", hot_ ? "warm" : "cold");
   int wasted = 0;
   int wasted_dual = 0;
   if (hot_) {
-    Result r = impl_->reoptimize_dual(prob_);
+    Result r = core_->reoptimize_dual(prob_);
     dual_pivots_ += r.dual_iterations;
     if (r.status == Status::kOptimal || r.status == Status::kInfeasible) {
       // Both outcomes leave the engine consistent and dual feasible: an
@@ -290,7 +215,7 @@ Result IncrementalSimplex::solve() {
     wasted_dual = r.dual_iterations;
     hot_ = false;
   }
-  Result r = impl_->run_cold(prob_);
+  Result r = core_->run_cold(prob_);
   r.iterations += wasted;
   r.dual_iterations += wasted_dual;
   ++cold_solves_;

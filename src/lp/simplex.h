@@ -2,24 +2,20 @@
 /// Bounded-variable simplex LP solver (primal two-phase + dual).
 ///
 /// This is the LP engine underneath the branch-and-bound MILP solver
-/// (src/milp) that OpenVM1 uses in place of the paper's CPLEX 12.6.3.
-/// Two engines share one public surface (SimplexSolver::Options::engine):
-///  * kRevised (default): revised simplex over a product-form basis
-///    factorization — Markowitz-ordered sparse LU of the basis, rank-1 eta
-///    updates per pivot, Devex pricing, shared CSC/CSR constraint columns
-///    (see DESIGN.md "LP/MILP solver internals"). A pivot costs O(nnz)
-///    instead of rewriting the whole tableau, which is what finally makes a
-///    warm basis nearly free;
-///  * kDense: the original dense-tableau engine, kept as the slow,
-///    independently-implemented oracle for differential testing.
+/// (src/milp) that OpenVM1 uses in place of the paper's CPLEX 12.6.3. There
+/// is one engine: a revised simplex over a product-form basis factorization
+/// — Markowitz-ordered sparse LU of the basis, rank-1 eta updates per pivot,
+/// Devex pricing, shared CSC/CSR constraint columns (see revised.h and
+/// DESIGN.md "LP/MILP solver internals"). A pivot costs O(nnz) instead of
+/// rewriting a whole tableau, which is what makes a warm basis nearly free.
+/// An independent dense-tableau solver lives under tests/support as the
+/// differential-test oracle; it is not part of the library.
 ///
 /// Two solve paths:
 ///  * cold: two-phase primal from the slack basis (SimplexSolver::solve);
-///  * warm: dual simplex re-optimization from a previous optimal basis
-///    after bound changes — either via an exported Basis
-///    (SimplexSolver::solve(p, &basis)) or by keeping the factorization hot
-///    across a sequence of bound changes (IncrementalSimplex), which is
-///    how branch-and-bound dives without re-running phase 1 per node.
+///  * warm: dual simplex re-optimization of a hot basis after bound changes
+///    (IncrementalSimplex), which is how branch-and-bound dives without
+///    re-running phase 1 per node.
 ///
 /// Conventions:
 ///  * minimization;
@@ -37,6 +33,10 @@
 #include "lp/sparse.h"
 
 namespace vm1::lp {
+
+namespace detail {
+class RevisedCore;
+}  // namespace detail
 
 /// Infinity marker for variable upper bounds.
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -106,21 +106,6 @@ class Problem {
   mutable std::shared_ptr<const detail::ColumnMatrix> cols_cache_;
 };
 
-/// Status of one column in a basis snapshot. Columns live in the solver's
-/// normalized space: [0, n) structural variables, [n, n+m) row slacks.
-enum class BasisState : unsigned char { kBasic, kAtLower, kAtUpper };
-
-/// A reusable simplex basis: which column is basic in each row plus the
-/// bound each nonbasic column rests at. Captured from an optimal solve and
-/// fed back (after bound changes) to skip phase 1 entirely — the dual
-/// simplex repairs primal feasibility while reduced costs stay valid.
-struct Basis {
-  std::vector<int> basic;         ///< size m: basic column per row
-  std::vector<BasisState> state;  ///< size n + m
-
-  bool empty() const { return basic.empty(); }
-};
-
 struct Result {
   Status status = Status::kInfeasible;
   double objective = 0;
@@ -129,29 +114,11 @@ struct Result {
   int dual_iterations = 0;  ///< pivots spent in the dual simplex
   /// True when the solve re-optimized from a warm basis without phase 1.
   bool warm_start_used = false;
-  /// Optimal basis (empty when not optimal or when an artificial variable
-  /// remained basic, which makes the basis non-reusable).
-  Basis basis;
   /// Reduced costs of the structural variables at the optimum (empty when
   /// not optimal). Nonnegative for variables at lower bound, nonpositive
   /// at upper bound — used for reduced-cost fixing in branch-and-bound.
   std::vector<double> reduced_cost;
 };
-
-/// Which simplex implementation runs underneath the public surface.
-enum class Engine : unsigned char {
-  kRevised,  ///< sparse factorization + eta updates (default, fast)
-  kDense,    ///< dense tableau (differential-testing oracle)
-};
-
-/// Entering-variable rule for the revised engine (the dense oracle always
-/// prices Dantzig-style).
-enum class Pricing : unsigned char {
-  kDevex,    ///< reference-framework steepest-edge approximation (default)
-  kDantzig,  ///< largest reduced cost; for differential tests
-};
-
-const char* to_string(Engine e);
 
 /// Two-phase simplex with bounded variables.
 class SimplexSolver {
@@ -163,20 +130,19 @@ class SimplexSolver {
     double time_limit_sec = 0;
     double tol = 1e-7;        ///< feasibility / optimality tolerance
     double pivot_tol = 1e-9;  ///< minimum |pivot| accepted
-    Engine engine = Engine::kRevised;
-    Pricing pricing = Pricing::kDevex;
-    /// Revised engine: update etas tolerated before a scheduled
-    /// refactorization. 0 means automatic (scales with the row count in
-    /// eta-file mode; an order of magnitude longer in explicit-inverse
-    /// mode, where walks don't grow with the update count). Consistency
-    /// failures always force an immediate refactorization regardless of
-    /// this interval.
+    /// Update etas tolerated before a scheduled refactorization. 0 means
+    /// automatic (scales with the row count in eta-file mode; an order of
+    /// magnitude longer in explicit-inverse mode, where walks don't grow
+    /// with the update count). Consistency failures always force an
+    /// immediate refactorization regardless of this interval. A test seam:
+    /// put_mip does not ship it and window_signature does not hash it, so
+    /// workers always run the default.
     int refactor_interval = 0;
-    /// Revised engine: bases with at most this many rows collapse the
-    /// factorization into an explicit dense B^-1 updated in place per
-    /// pivot (contiguous rank-1 outer products; no eta chain to walk).
-    /// Larger bases keep the sparse eta file. 0 forces eta-file mode
-    /// everywhere (used by the differential tests).
+    /// Bases with at most this many rows collapse the factorization into an
+    /// explicit dense B^-1 updated in place per pivot (contiguous rank-1
+    /// outer products; no eta chain to walk). Larger bases keep the sparse
+    /// eta file; 0 forces eta-file mode everywhere. A test seam like
+    /// refactor_interval: not shipped, not hashed, workers run the default.
     int dense_inverse_dim = 256;
   };
 
@@ -186,25 +152,26 @@ class SimplexSolver {
   /// Cold solve: two-phase primal from the slack basis.
   Result solve(const Problem& p) const;
 
-  /// Warm solve: refactorizes `warm` (a basis exported from a previous
-  /// optimal solve of a problem with the same rows/columns, possibly with
-  /// different variable bounds) and re-optimizes with the dual simplex.
-  /// Falls back to the primal (and ultimately to a cold start) when the
-  /// basis is singular or not dual feasible. `warm` may be null.
-  Result solve(const Problem& p, const Basis* warm) const;
-
  private:
   Options opts_;
 };
 
 /// Re-optimizing solver that owns a mutable copy of one Problem and keeps
-/// the basis (factorization or dense tableau, per Options::engine) hot
-/// across a sequence of bound changes. This is the branch-and-bound
-/// workhorse: a child node differs from its parent by one integer-variable
-/// bound, so `set_bounds` + `solve` costs a handful of dual pivots instead
-/// of a full phase-1 + phase-2 rebuild. All per-solve scratch lives in a
-/// reusable SolveWorkspace inside the engine core, so repeated solves do
-/// not touch the allocator.
+/// the basis factorization hot across a sequence of bound changes. This is
+/// the branch-and-bound workhorse: a child node differs from its parent by
+/// one integer-variable bound, so `set_bounds` + `solve` costs a handful of
+/// dual pivots instead of a full phase-1 + phase-2 rebuild.
+///
+/// Basis reuse contract: bound changes never touch reduced costs, so a
+/// basis that was optimal (or proved a node infeasible) stays dual feasible
+/// and the dual simplex only has to repair primal feasibility. A solve falls
+/// back to a cold two-phase start when a variable resting at its upper
+/// bound lost that bound, when the dual simplex stalls or hits a singular
+/// basis, or when its answer still violates the problem after
+/// refactorizing; the failed warm attempt's pivots count in
+/// Result::iterations. All per-solve scratch lives in a reusable
+/// SolveWorkspace inside the core, so repeated solves do not touch the
+/// allocator.
 class IncrementalSimplex {
  public:
   IncrementalSimplex(const Problem& p, const SimplexSolver::Options& opts);
@@ -217,17 +184,18 @@ class IncrementalSimplex {
   const Problem& problem() const { return prob_; }
 
   /// Overwrites variable v's bounds (original, unshifted space). When the
-  /// tableau is hot this is an O(m) incremental update that preserves the
-  /// basis; otherwise it only records the new bounds.
+  /// basis is hot this is O(1) bookkeeping that preserves it (the basic
+  /// values are recomputed at the next solve); otherwise it only records
+  /// the new bounds.
   void set_bounds(int v, double lo, double hi);
 
   /// Re-optimizes at the current bounds: dual simplex from the previous
-  /// optimal basis when the tableau is hot, full two-phase primal
+  /// optimal basis when the basis is hot, full two-phase primal
   /// otherwise. A dual stall or a drifted solution triggers an automatic
   /// cold restart, so results match a fresh solve.
   Result solve();
 
-  /// Discards the hot tableau; the next solve is a cold start.
+  /// Discards the hot basis; the next solve is a cold start.
   void invalidate();
 
   // Observability counters (accumulated across solve() calls).
@@ -236,10 +204,8 @@ class IncrementalSimplex {
   int dual_pivots() const { return dual_pivots_; }
 
  private:
-  struct Impl;
   Problem prob_;
-  SimplexSolver::Options opts_;
-  std::unique_ptr<Impl> impl_;
+  std::unique_ptr<detail::RevisedCore> core_;
   bool hot_ = false;
   int warm_solves_ = 0;
   int cold_solves_ = 0;

@@ -62,8 +62,8 @@ void BranchAndBound::Options::validate() const {
   if (max_nodes < 0) {
     bad("max_nodes must be >= 0, got " + std::to_string(max_nodes));
   }
-  if (time_limit_sec < 0) {
-    bad("time_limit_sec must be >= 0, got " +
+  if (!(time_limit_sec >= 0)) {
+    bad("time_limit_sec must be >= 0 (and not NaN), got " +
         std::to_string(time_limit_sec));
   }
   if (!(int_tol >= 0) || !(gap_tol >= 0)) {
@@ -73,6 +73,22 @@ void BranchAndBound::Options::validate() const {
   if (lp_options.max_iterations <= 0) {
     bad("lp_options.max_iterations must be positive, got " +
         std::to_string(lp_options.max_iterations));
+  }
+  // 0 is the LP's "unlimited"; a NaN would silently disable the check.
+  if (!(lp_options.time_limit_sec >= 0)) {
+    bad("lp_options.time_limit_sec must be >= 0 (and not NaN), got " +
+        std::to_string(lp_options.time_limit_sec));
+  }
+  // A NaN tolerance makes every pricing comparison false (the root LP
+  // reports a bogus optimum after 0 pivots); a non-positive one makes
+  // round-off look like an improving column forever.
+  if (!(std::isfinite(lp_options.tol) && lp_options.tol > 0)) {
+    bad("lp_options.tol must be finite and > 0, got " +
+        std::to_string(lp_options.tol));
+  }
+  if (!(std::isfinite(lp_options.pivot_tol) && lp_options.pivot_tol > 0)) {
+    bad("lp_options.pivot_tol must be finite and > 0, got " +
+        std::to_string(lp_options.pivot_tol));
   }
 }
 
@@ -297,10 +313,7 @@ MipResult BranchAndBound::solve(const Model& model,
   cold_metric.add(result.cold_restarts);
   rc_fixed_metric.add(result.rc_fixed);
   if (!result.x.empty()) incumbents_metric.add();
-  // lp_iterations already lands in the milp.lp_iterations counter; the span
-  // slot goes to the LP engine tag instead (3-arg cap).
   solve_span.arg("nodes", result.nodes_explored)
-      .arg("engine", lp::to_string(opts_.lp_options.engine))
       .arg("status", to_string(result.status));
   return result;
 }

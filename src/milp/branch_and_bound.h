@@ -5,7 +5,7 @@
 ///  * most-fractional branching on integer variables;
 ///  * depth-first dives (child closer to the LP value first) with global
 ///    best-bound pruning;
-///  * warm-started node LPs: the search keeps one hot simplex tableau
+///  * warm-started node LPs: the search keeps one hot simplex basis
 ///    (lp::IncrementalSimplex), applies only the bound *deltas* between
 ///    consecutive nodes, and re-optimizes with the dual simplex — phase 1
 ///    runs only at the root and on rare numerical cold restarts. This is
@@ -77,10 +77,13 @@ class BranchAndBound {
     const std::atomic<bool>* cancel = nullptr;
     lp::SimplexSolver::Options lp_options = {};
 
-    /// Throws std::invalid_argument when a field is out of range
-    /// (non-positive max_nodes, negative time limit / tolerances).
-    /// solve() validates on entry so misconfiguration fails fast instead
-    /// of looping forever or mis-pruning.
+    /// Throws std::invalid_argument naming the field when one is out of
+    /// range: negative max_nodes, a negative or NaN time limit (MIP or LP),
+    /// negative or NaN int_tol / gap_tol, non-positive
+    /// lp_options.max_iterations, or a non-finite or non-positive
+    /// lp_options.tol / pivot_tol. solve() validates on entry so
+    /// misconfiguration fails fast instead of looping forever or
+    /// mis-pruning; the placement service validates at admission.
     void validate() const;
   };
 

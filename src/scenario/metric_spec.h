@@ -13,7 +13,7 @@
 ///   flow:<field>     a field of the flow/optimizer snapshot (QoR +
 ///                    VM1OptStats — e.g. final_num_dm1, solved, windows)
 ///   counter:<name>   a telemetry counter from the obs registry snapshot
-///                    (e.g. lp.solves, dist_opt.windows_skipped)
+///                    (e.g. lp.solves, dist_opt.outcome.skipped)
 ///   report:<regex>   first capture group of a regex applied to the
 ///                    scenario's rendered report text (VPR style)
 ///

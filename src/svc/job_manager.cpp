@@ -76,6 +76,15 @@ JobManager::Submission JobManager::submit(JobSpec spec) {
     metrics().rejected.add();
     return sub;
   }
+  // Solver options arrive from the client's frame: refuse a bad job here
+  // instead of letting it fault every window on the shared fleet.
+  try {
+    spec.mip.validate();
+  } catch (const std::invalid_argument& e) {
+    sub.reason = e.what();
+    metrics().rejected.add();
+    return sub;
+  }
   if (std::optional<std::string> reject = admission_.try_admit(spec.tenant)) {
     sub.reason = *reject;
     metrics().rejected.add();

@@ -97,12 +97,6 @@ bool should_fire(Site s, std::uint64_t key) {
   return u < rate;
 }
 
-void maybe_throw(Site s, std::uint64_t key) {
-  if (should_fire(s, key)) {
-    throw InjectedFault(std::string("injected fault: ") + to_string(s));
-  }
-}
-
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   return hash::splitmix_mix(h, v);
 }

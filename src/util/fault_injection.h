@@ -101,9 +101,6 @@ void set_config(const Config& c);
 /// hash(config().seed, site, key) maps below the site's rate.
 bool should_fire(Site s, std::uint64_t key);
 
-/// Throws InjectedFault when should_fire(s, key).
-void maybe_throw(Site s, std::uint64_t key);
-
 /// splitmix64-based hash combine used for window keys; stable across
 /// platforms so fault schedules are portable.
 std::uint64_t mix(std::uint64_t h, std::uint64_t v);

@@ -55,12 +55,6 @@ double Rng::uniform_real() {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
-int Rng::geometric_between(int lo, int hi, double ratio) {
-  int k = lo;
-  while (k < hi && chance(ratio)) ++k;
-  return k;
-}
-
 std::size_t Rng::weighted_pick(const std::vector<double>& weights) {
   double total = 0;
   for (double w : weights) total += w;

@@ -35,10 +35,6 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool chance(double p) { return uniform_real() < p; }
 
-  /// Geometric-like sample: returns k >= lo, each increment kept with
-  /// probability `ratio` until hi. Used for fanout distributions.
-  int geometric_between(int lo, int hi, double ratio);
-
   /// Sample an index from unnormalized non-negative weights. Requires a
   /// positive total weight.
   std::size_t weighted_pick(const std::vector<double>& weights);

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.h"
 
@@ -231,6 +232,43 @@ TEST(BranchAndBound, OptionsValidationRejectsGarbage) {
   opts = {};
   opts.lp_options.max_iterations = 0;
   EXPECT_THROW(BranchAndBound(opts).solve(m), std::invalid_argument);
+
+  // The LP tolerances and both time limits: each rejection names its field.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  auto expect_rejected = [&](const BranchAndBound::Options& o,
+                             const std::string& field) {
+    try {
+      o.validate();
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(BranchAndBound(o).solve(m), std::invalid_argument) << field;
+  };
+  for (double tol : {-1.0, 0.0, nan, inf}) {
+    opts = {};
+    opts.lp_options.tol = tol;
+    expect_rejected(opts, "lp_options.tol");
+    opts = {};
+    opts.lp_options.pivot_tol = tol;
+    expect_rejected(opts, "lp_options.pivot_tol");
+  }
+  for (double limit : {-1.0, nan}) {
+    opts = {};
+    opts.lp_options.time_limit_sec = limit;
+    expect_rejected(opts, "lp_options.time_limit_sec");
+  }
+  opts = {};
+  opts.time_limit_sec = nan;
+  expect_rejected(opts, "time_limit_sec");
+
+  // The defaults and an unlimited (0) LP time limit stay valid.
+  opts = {};
+  EXPECT_NO_THROW(opts.validate());
+  opts.lp_options.time_limit_sec = 0;
+  EXPECT_NO_THROW(opts.validate());
 }
 
 TEST(BranchAndBound, CancelTokenStopsSearch) {

@@ -144,15 +144,6 @@ TEST(Cells, VtScalesLeakageAndDelay) {
   EXPECT_LT(svt.intrinsic_delay, hvt.intrinsic_delay);
 }
 
-TEST(Cells, BestFillerSelection) {
-  Library lib = build_library(CellArch::kClosedM1);
-  EXPECT_EQ(best_filler(lib, 1), "FILL1");
-  EXPECT_EQ(best_filler(lib, 2), "FILL2");
-  EXPECT_EQ(best_filler(lib, 3), "FILL2");
-  EXPECT_EQ(best_filler(lib, 9), "FILL4");
-  EXPECT_EQ(best_filler(lib, 0), "");
-}
-
 TEST(Cells, LibraryLookup) {
   Library lib = build_library(CellArch::kOpenM1);
   EXPECT_EQ(lib.find("NO_SUCH_CELL"), -1);

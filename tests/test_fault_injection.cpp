@@ -148,15 +148,6 @@ TEST(FaultInjection, EmpiricalRateTracksConfiguredRate) {
   EXPECT_NEAR(static_cast<double>(fired) / n, 0.3, 0.05);
 }
 
-TEST(FaultInjection, MaybeThrowRaisesInjectedFault) {
-  FaultGuard guard;
-  fault::set_config(all_sites(1.0));
-  EXPECT_THROW(fault::maybe_throw(fault::Site::kApplyThrow, 1),
-               fault::InjectedFault);
-  fault::set_config(all_sites(0.0));
-  EXPECT_NO_THROW(fault::maybe_throw(fault::Site::kApplyThrow, 1));
-}
-
 // --- DistOpt degradation paths ----------------------------------------------
 
 TEST(FaultedDistOpt, NoSolutionFaultDegradesToFallbacks) {

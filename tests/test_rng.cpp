@@ -60,19 +60,6 @@ TEST(Rng, ChanceExtremes) {
   }
 }
 
-TEST(Rng, GeometricBetweenBounds) {
-  Rng r(5);
-  for (int i = 0; i < 500; ++i) {
-    int v = r.geometric_between(1, 8, 0.5);
-    EXPECT_GE(v, 1);
-    EXPECT_LE(v, 8);
-  }
-  // ratio 0 always returns the lower bound.
-  EXPECT_EQ(r.geometric_between(2, 8, 0.0), 2);
-  // ratio 1 always returns the upper bound.
-  EXPECT_EQ(r.geometric_between(2, 8, 1.0), 8);
-}
-
 TEST(Rng, WeightedPickRespectsWeights) {
   Rng r(13);
   std::vector<double> w = {0.0, 1.0, 3.0};

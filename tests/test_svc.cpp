@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -408,6 +409,29 @@ TEST_F(SvcJobManager, RejectsBadSubmissions) {
   sub = mgr.submit(std::move(bad_deadline));
   EXPECT_FALSE(sub.accepted);
   EXPECT_EQ(sub.reason, "negative deadline");
+
+  // Solver options come from the client's frame and are validated at
+  // admission; the rejection names the bad field.
+  JobSpec bad_tol = fast_spec("t", placed_design(6));
+  bad_tol.mip.lp_options.tol = -1;
+  sub = mgr.submit(std::move(bad_tol));
+  EXPECT_FALSE(sub.accepted);
+  EXPECT_NE(sub.reason.find("lp_options.tol"), std::string::npos)
+      << sub.reason;
+
+  JobSpec nan_tol = fast_spec("t", placed_design(6));
+  nan_tol.mip.lp_options.tol = std::nan("");
+  sub = mgr.submit(std::move(nan_tol));
+  EXPECT_FALSE(sub.accepted);
+  EXPECT_NE(sub.reason.find("lp_options.tol"), std::string::npos)
+      << sub.reason;
+
+  JobSpec nan_limit = fast_spec("t", placed_design(6));
+  nan_limit.mip.time_limit_sec = std::nan("");
+  sub = mgr.submit(std::move(nan_limit));
+  EXPECT_FALSE(sub.accepted);
+  EXPECT_NE(sub.reason.find("time_limit_sec"), std::string::npos)
+      << sub.reason;
 
   EXPECT_FALSE(mgr.status(42).has_value());
   EXPECT_FALSE(mgr.result(42).has_value());
