@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 #include <string>
 
@@ -45,11 +44,7 @@ MazeState::MazeState(const TrackGraph& graph, const MazeCostOptions& opts)
   wire_use_.assign(n, 0);
   via_use_.assign(n, 0);
   history_.assign(n * 2, 0.0f);  // [0,n): wire history, [n,2n): via history
-  dist_.assign(n, 0.0);
-  h_.assign(n, 0.0);
-  parent_.assign(n, -1);
-  stamp_.assign(n, 0);
-  target_stamp_.assign(n, 0);
+  scratch_.assign(n, NodeScratch{});
 }
 
 void MazeState::accumulate_history() {
@@ -110,21 +105,9 @@ std::vector<GNode> MazeState::search(const std::vector<GNode>& sources,
   std::vector<GNode> goals;
   for (const GNode& t : targets) {
     if (!g.valid(t.layer, t.gx, t.gy)) continue;
-    target_stamp_[g.node_id(t.layer, t.gx, t.gy)] = cur_stamp_;
+    scratch_[g.node_id(t.layer, t.gx, t.gy)].target_stamp = cur_stamp_;
     goals.push_back(t);
   }
-
-  // Decode node id -> (layer, gx, gy).
-  const int wrow = g.width() + 1;
-  const std::size_t per_layer =
-      static_cast<std::size_t>(wrow) * (g.height() + 1);
-  auto decode = [&](std::size_t id) {
-    int layer = static_cast<int>(id / per_layer);
-    std::size_t rem = id % per_layer;
-    int gy = static_cast<int>(rem / wrow);
-    int gx = static_cast<int>(rem % wrow);
-    return GNode{layer, gx, gy};
-  };
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const double h_len = static_cast<double>(TrackGraph::edge_len_dbu(kM2));
@@ -141,32 +124,37 @@ std::vector<GNode> MazeState::search(const std::vector<GNode>& sources,
   };
 
   // Queue entries are (f = g + h, id); targets never enter the queue.
-  using QE = std::pair<double, std::size_t>;
-  std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
+  RadixQueue& pq = queue_;
+  pq.clear();
+  long pushed = 0;
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::size_t found = kNone;
   double found_g = kInf;
 
-  auto relax = [&](std::size_t id, double cost, std::int64_t par) {
-    if (stamp_[id] != cur_stamp_) {
-      stamp_[id] = cur_stamp_;
-      h_[id] = heuristic(decode(id));
-    } else if (cost > dist_[id]) {
+  auto relax = [&](const GNode& nd, std::size_t id, double cost,
+                   std::int64_t par) {
+    NodeScratch& s = scratch_[id];
+    if (s.stamp != cur_stamp_) {
+      s.stamp = cur_stamp_;
+      s.at = nd;
+      s.h = heuristic(nd);
+    } else if (cost > s.g) {
       return;
-    } else if (cost == dist_[id]) {
+    } else if (cost == s.g) {
       // Rule 1: of two optimal predecessors keep the one with the smaller
       // (g, id), which Dijkstra would have expanded first.
-      std::int64_t old = parent_[id];
+      std::int64_t old = s.parent;
       if (par < 0 || old < 0) return;  // a source listed twice
-      double gp = dist_[static_cast<std::size_t>(par)];
-      double go = dist_[static_cast<std::size_t>(old)];
-      if (gp < go || (gp == go && par < old)) parent_[id] = par;
+      double gp = scratch_[static_cast<std::size_t>(par)].g;
+      double go = scratch_[static_cast<std::size_t>(old)].g;
+      if (gp < go || (gp == go && par < old)) s.parent = par;
       return;
     }
-    dist_[id] = cost;
-    parent_[id] = par;
-    if (target_stamp_[id] != cur_stamp_) {
-      pq.push({cost + h_[id], id});
+    s.g = cost;
+    s.parent = par;
+    if (s.target_stamp != cur_stamp_) {
+      pq.push(cost + s.h, id);
+      ++pushed;
     } else if (cost < found_g || (cost == found_g && id < found)) {
       found = id;  // rule 2: the target with the smallest (g, id)
       found_g = cost;
@@ -178,60 +166,68 @@ std::vector<GNode> MazeState::search(const std::vector<GNode>& sources,
     for (const GNode& s : sources) {
       if (!g.valid(s.layer, s.gx, s.gy)) continue;
       if (!g.passable(s.layer, s.gx, s.gy, net)) continue;
-      relax(g.node_id(s.layer, s.gx, s.gy), 0.0, -1);
+      relax(s, g.node_id(s.layer, s.gx, s.gy), 0.0, -1);
     }
   }
 
   long popped = 0;
-  // Rule 2: nothing left with f <= found_g can improve the path.
-  while (!pq.empty() && pq.top().first <= found_g) {
-    auto [f, id] = pq.top();
+  while (!pq.empty()) {
+    const RadixQueue::Entry& top = pq.top();
+    // Rule 2: nothing left with f <= found_g can improve the path.
+    if (top.key > found_g) break;
+    const double f = top.key;
+    const std::size_t id = top.value;
     pq.pop();
     ++popped;
-    const double cost = dist_[id];
-    if (f > cost + h_[id]) continue;  // superseded by a cheaper entry
-    GNode nd = decode(id);
+    const NodeScratch& s = scratch_[id];
+    const double cost = s.g;
+    if (f > cost + s.h) continue;  // superseded by a cheaper entry
+    const GNode nd = s.at;
+    const auto par = static_cast<std::int64_t>(id);
+    // Every edge the search may use has both ends inside the bbox, so a
+    // node outside it (a source) expands nothing.
+    if (nd.gx < bx0 || nd.gx > bx1 || nd.gy < by0 || nd.gy > by1) continue;
 
-    auto try_wire = [&](int fx, int fy, int tx, int ty, std::size_t from_id,
-                        std::size_t to_id) {
-      // Edge is identified by its low/left endpoint (fx, fy).
-      if (fx < bx0 || tx > bx1 || fy < by0 || ty > by1) return;
-      if (!g.edge_allowed(nd.layer, fx, fy, net)) return;
-      double c = cost + wire_cost(nd.layer, from_id);
-      relax(to_id, c, static_cast<std::int64_t>(id));
+    // A wire edge is identified by its low/left endpoint.
+    auto try_wire = [&](const GNode& to, std::size_t to_id, const GNode& low,
+                        std::size_t low_id) {
+      if (to.gx < bx0 || to.gx > bx1 || to.gy < by0 || to.gy > by1) return;
+      if (!g.edge_allowed(nd.layer, low.gx, low.gy, net)) return;
+      relax(to, to_id, cost + wire_cost(nd.layer, low_id), par);
     };
 
     if (TrackGraph::is_vertical(nd.layer)) {
       if (nd.gy < g.height()) {
-        try_wire(nd.gx, nd.gy, nd.gx, nd.gy + 1, id,
-                 g.node_id(nd.layer, nd.gx, nd.gy + 1));
+        GNode up{nd.layer, nd.gx, nd.gy + 1};
+        try_wire(up, g.node_id(up.layer, up.gx, up.gy), nd, id);
       }
       if (nd.gy > 0) {
-        std::size_t to = g.node_id(nd.layer, nd.gx, nd.gy - 1);
-        try_wire(nd.gx, nd.gy - 1, nd.gx, nd.gy, to, to);
+        GNode down{nd.layer, nd.gx, nd.gy - 1};
+        std::size_t to = g.node_id(down.layer, down.gx, down.gy);
+        try_wire(down, to, down, to);
       }
     } else {
       if (nd.gx < g.width()) {
-        try_wire(nd.gx, nd.gy, nd.gx + 1, nd.gy, id,
-                 g.node_id(nd.layer, nd.gx + 1, nd.gy));
+        GNode right{nd.layer, nd.gx + 1, nd.gy};
+        try_wire(right, g.node_id(right.layer, right.gx, right.gy), nd, id);
       }
       if (nd.gx > 0) {
-        std::size_t to = g.node_id(nd.layer, nd.gx - 1, nd.gy);
-        try_wire(nd.gx - 1, nd.gy, nd.gx, nd.gy, to, to);
+        GNode left{nd.layer, nd.gx - 1, nd.gy};
+        std::size_t to = g.node_id(left.layer, left.gx, left.gy);
+        try_wire(left, to, left, to);
       }
     }
 
     // Vias: between layer l and l+1 at this (gx, gy).
     for (int dl : {+1, -1}) {
-      int nl = nd.layer + dl;
-      if (nl < 0 || nl >= kNumRouteLayers) continue;
-      if (!g.valid(nl, nd.gx, nd.gy)) continue;
-      if (!g.passable(nl, nd.gx, nd.gy, net)) continue;
-      if (nd.gx < bx0 || nd.gx > bx1 || nd.gy < by0 || nd.gy > by1) continue;
-      int low_layer = std::min(nd.layer, nl);
-      std::size_t low_id = g.node_id(low_layer, nd.gx, nd.gy);
-      double c = cost + via_cost(low_id);
-      relax(g.node_id(nl, nd.gx, nd.gy), c, static_cast<std::int64_t>(id));
+      GNode to{nd.layer + dl, nd.gx, nd.gy};
+      if (to.layer < 0 || to.layer >= kNumRouteLayers) continue;
+      if (!g.valid(to.layer, to.gx, to.gy)) continue;
+      if (!g.passable(to.layer, to.gx, to.gy, net)) continue;
+      std::size_t low_id = g.node_id(std::min(nd.layer, to.layer), nd.gx,
+                                     nd.gy);
+      relax(to, g.node_id(to.layer, to.gx, to.gy), cost + via_cost(low_id),
+            par);
     }
   }
 
@@ -239,15 +235,18 @@ std::vector<GNode> MazeState::search(const std::vector<GNode>& sources,
   static obs::Counter& searches_metric = obs::counter("route.maze_searches");
   static obs::Counter& expansions_metric =
       obs::counter("route.maze_expansions");
+  static obs::Counter& pushes_metric = obs::counter("route.maze_pushes");
   searches_metric.add();
   expansions_metric.add(popped);
+  pushes_metric.add(pushed);
 
   std::vector<GNode> path;
   if (found == kNone) return path;
   std::int64_t cur = static_cast<std::int64_t>(found);
   while (cur >= 0) {
-    path.push_back(decode(static_cast<std::size_t>(cur)));
-    cur = parent_[static_cast<std::size_t>(cur)];
+    const NodeScratch& s = scratch_[static_cast<std::size_t>(cur)];
+    path.push_back(s.at);
+    cur = s.parent;
   }
   std::reverse(path.begin(), path.end());
   return path;

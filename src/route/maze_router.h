@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "route/radix_queue.h"
 #include "route/track_graph.h"
 
 namespace vm1 {
@@ -87,9 +88,20 @@ class MazeState {
   ///     with the smallest (g, id) and pops until the smallest f left
   ///     exceeds that g. Every optimal predecessor of a node on the path
   ///     has f no greater than it, so it has been expanded by then.
+  /// The open list is a monotone radix queue (radix_queue.h) keyed on f.
+  /// It pops equal keys last-in first-out, not in (f, id) order; that moves
+  /// no path, since the loop runs until every optimal predecessor (f no
+  /// greater than the target's g) has been expanded whatever the order
+  /// among equal keys, and changes only how many superseded entries pop.
+  /// A push below the last key popped, which only rounding under costs
+  /// inexact in binary causes, is clamped to it.
   /// Preconditions: the costs pass MazeCostOptions::validate(), which makes
   /// every edge cost positive and h a lower bound. h is computed once per
   /// node per search and cached beside its g.
+  ///
+  /// Work counters, added once per search: `route.maze_searches`,
+  /// `route.maze_expansions` (pops, superseded entries included) and
+  /// `route.maze_pushes`.
   std::vector<GNode> search(const std::vector<GNode>& sources,
                             const std::vector<GNode>& targets, int net,
                             int bx0, int by0, int bx1, int by1);
@@ -111,12 +123,18 @@ class MazeState {
   /// when need_v: the via part of the heuristic, [a][b][need_h][need_v].
   double via_floor_[kNumRouteLayers][kNumRouteLayers][2][2] = {};
 
-  // Search scratch (stamped to avoid O(N) clears per search).
-  std::vector<double> dist_;
-  std::vector<double> h_;  ///< heuristic, valid under the same stamp
-  std::vector<std::int64_t> parent_;
-  std::vector<std::uint32_t> stamp_;
-  std::vector<std::uint32_t> target_stamp_;
+  /// Search scratch for one node, valid while `stamp` is the current
+  /// search's; stamping avoids an O(N) clear per search.
+  struct NodeScratch {
+    double g = 0.0;             ///< cost from the sources
+    double h = 0.0;             ///< heuristic
+    std::int64_t parent = -1;   ///< predecessor's id, -1 at a source
+    std::uint32_t stamp = 0;
+    std::uint32_t target_stamp = 0;  ///< current search's: a target
+    GNode at;  ///< the node itself, so a pop reads (layer, gx, gy)
+  };
+  std::vector<NodeScratch> scratch_;
+  RadixQueue queue_;  ///< open list of (f, id), cleared by each search
   std::uint32_t cur_stamp_ = 0;
 };
 

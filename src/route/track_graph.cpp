@@ -6,7 +6,10 @@
 namespace vm1 {
 
 TrackGraph::TrackGraph(const Design& d, const TrackGraphOptions& opts)
-    : design_(&d), opts_(opts) {
+    : design_(&d),
+      opts_(opts),
+      arch_(d.library().arch()),
+      row_h_(d.tech().row_height()) {
   const Rect core = d.core();
   gx_max_ = static_cast<int>(core.hx);
   gy_max_ = static_cast<int>(core.hy / 2);
@@ -17,13 +20,6 @@ TrackGraph::TrackGraph(const Design& d, const TrackGraphOptions& opts)
   }
   owner_.assign(num_nodes(), kFree);
   rebuild_blockage();
-}
-
-bool TrackGraph::valid(int layer, int gx, int gy) const {
-  if (gx < 0 || gx > gx_max_ || gy < 0 || gy > gy_max_) return false;
-  if (layer == kM3 && (gx % 2) != 0) return false;
-  if (layer == kM4 && (gy % 2) != 0) return false;
-  return true;
 }
 
 void TrackGraph::block_node(int layer, int gx, int gy, std::int32_t who) {
@@ -38,20 +34,17 @@ void TrackGraph::rebuild_blockage() {
   std::fill(owner_.begin(), owner_.end(), kFree);
   const Design& d = *design_;
   const Netlist& nl = d.netlist();
-  const Tech& tech = d.tech();
-  const CellArch arch = d.library().arch();
-  const Coord row_h = tech.row_height();
 
   // M2 PG straps: one blocked M2 track per row boundary.
   for (int r = 0; r <= d.num_rows(); ++r) {
     int gy = static_cast<int>(
-        std::llround(static_cast<double>(r) * row_h / 2.0));
+        std::llround(static_cast<double>(r) * row_h_ / 2.0));
     gy = std::clamp(gy, 0, gy_max_);
     for (int gx = 0; gx <= gx_max_; ++gx) block_node(kM2, gx, gy, kBlocked);
   }
 
   // OpenM1 PG staples: reserve M1 columns at a fixed pitch.
-  if (arch == CellArch::kOpenM1 && opts_.staple_pitch > 0) {
+  if (arch_ == CellArch::kOpenM1 && opts_.staple_pitch > 0) {
     for (int gx = 0; gx <= gx_max_; gx += opts_.staple_pitch) {
       for (int gy = 0; gy <= gy_max_; ++gy) block_node(kM1, gx, gy, kBlocked);
     }
@@ -61,10 +54,10 @@ void TrackGraph::rebuild_blockage() {
     const Placement& p = d.placement(i);
     const Cell& c = nl.cell_of(i);
     const Coord x0 = static_cast<Coord>(p.x);
-    const Coord y0 = static_cast<Coord>(p.row) * row_h;
-    auto [row_lo, row_hi] = track_range(y0, y0 + row_h);
+    const Coord y0 = static_cast<Coord>(p.row) * row_h_;
+    auto [row_lo, row_hi] = track_range(y0, y0 + row_h_);
 
-    if (arch == CellArch::kClosedM1 || arch == CellArch::kConventional12T) {
+    if (arch_ == CellArch::kClosedM1 || arch_ == CellArch::kConventional12T) {
       // Boundary M1 PG pins block the columns at both cell edges across the
       // full row span.
       for (Coord bx : {x0, x0 + c.width_sites}) {
@@ -86,25 +79,6 @@ void TrackGraph::rebuild_blockage() {
     }
     // OpenM1 pins live on M0 and do not block M1.
   }
-}
-
-bool TrackGraph::edge_allowed(int layer, int gx, int gy, int net) const {
-  int tx = gx + (is_vertical(layer) ? 0 : 1);
-  int ty = gy + (is_vertical(layer) ? 1 : 0);
-  if (!valid(layer, gx, gy) || !valid(layer, tx, ty)) return false;
-  if (!passable(layer, gx, gy, net) || !passable(layer, tx, ty, net)) {
-    return false;
-  }
-  // Conventional 12T: horizontal M1 PG rails sit on every row boundary, so
-  // an M1 edge whose DBU span (2gy, 2gy+2] touches a boundary is forbidden.
-  if (layer == kM1 &&
-      design_->library().arch() == CellArch::kConventional12T) {
-    Coord y0 = static_cast<Coord>(gy) * 2;
-    Coord row_h = design_->tech().row_height();
-    Coord next_boundary = (y0 / row_h + 1) * row_h;
-    if (next_boundary <= y0 + 2) return false;
-  }
-  return true;
 }
 
 std::vector<GNode> TrackGraph::pin_access_nodes(int inst, int pin) const {

@@ -61,7 +61,12 @@ class TrackGraph {
 
   /// True when (layer, gx, gy) is on the layer's track lattice and inside
   /// the core.
-  bool valid(int layer, int gx, int gy) const;
+  bool valid(int layer, int gx, int gy) const {
+    if (gx < 0 || gx > gx_max_ || gy < 0 || gy > gy_max_) return false;
+    if (layer == kM3 && (gx % 2) != 0) return false;
+    if (layer == kM4 && (gy % 2) != 0) return false;
+    return true;
+  }
   /// True when a vertical (along-y) layer; M1/M3 are vertical.
   static bool is_vertical(int layer) { return layer == kM1 || layer == kM3; }
 
@@ -83,7 +88,23 @@ class TrackGraph {
 
   /// True when the along-layer edge from (gx, gy) toward +1 step is usable
   /// (both endpoints valid; architecture rules allow it).
-  bool edge_allowed(int layer, int gx, int gy, int net) const;
+  bool edge_allowed(int layer, int gx, int gy, int net) const {
+    int tx = gx + (is_vertical(layer) ? 0 : 1);
+    int ty = gy + (is_vertical(layer) ? 1 : 0);
+    if (!valid(layer, gx, gy) || !valid(layer, tx, ty)) return false;
+    if (!passable(layer, gx, gy, net) || !passable(layer, tx, ty, net)) {
+      return false;
+    }
+    // Conventional 12T: horizontal M1 PG rails sit on every row boundary, so
+    // an M1 edge whose DBU span (2gy, 2gy+2] touches a boundary is
+    // forbidden.
+    if (layer == kM1 && arch_ == CellArch::kConventional12T) {
+      Coord y0 = static_cast<Coord>(gy) * 2;
+      Coord next_boundary = (y0 / row_h_ + 1) * row_h_;
+      if (next_boundary <= y0 + 2) return false;
+    }
+    return true;
+  }
 
   /// Wire length of one along-layer edge step in DBU (1 for horizontal
   /// layers, 2 for vertical layers). Edges always advance the moving
@@ -111,6 +132,8 @@ class TrackGraph {
 
   const Design* design_;
   TrackGraphOptions opts_;
+  CellArch arch_;  ///< the design library's, read once
+  Coord row_h_;    ///< the tech's row height in DBU, read once
   int gx_max_;
   int gy_max_;
   std::size_t layer_off_[kNumRouteLayers + 1];

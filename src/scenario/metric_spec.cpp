@@ -198,6 +198,7 @@ lp_solves;counter:lp.solves;info
 lp_iterations;counter:lp.pivots;info
 maze_expansions;counter:route.maze_expansions;info
 maze_searches;counter:route.maze_searches;info
+maze_pushes;counter:route.maze_pushes;info
 seconds;flow:seconds;info
 # the rendered report is a first-class source (VPR style)
 report_final_drv;report:#DRV +[0-9]+ +([0-9]+);exact

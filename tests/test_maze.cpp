@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <queue>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "cells/library_builder.h"
 #include "obs/metrics.h"
@@ -229,6 +232,22 @@ TEST_F(MazeTest, BboxRestrictsSearch) {
   EXPECT_TRUE(path.empty());
 }
 
+TEST_F(MazeTest, SourceOutsideBboxExpandsNothing) {
+  // Every edge a search uses has both ends inside its bbox: a source just
+  // above the box may not step down into it, though the target is there,
+  // and a source just right of it on M2 may not step left into it. Each
+  // pair's first search, with the box one track larger, finds the path.
+  const int w = graph_.width(), h = graph_.height();
+  EXPECT_FALSE(state_.search({{kM1, 5, 6}}, {{kM1, 5, 2}}, 0, 0, 0, w, 6)
+                   .empty());
+  EXPECT_TRUE(state_.search({{kM1, 5, 6}}, {{kM1, 5, 2}}, 0, 0, 0, w, 5)
+                  .empty());
+  EXPECT_FALSE(state_.search({{kM2, 11, 3}}, {{kM2, 4, 3}}, 0, 0, 0, 11, h)
+                   .empty());
+  EXPECT_TRUE(state_.search({{kM2, 11, 3}}, {{kM2, 4, 3}}, 0, 0, 0, 10, h)
+                  .empty());
+}
+
 TEST_F(MazeTest, CongestionDivertsSecondNet) {
   // Saturate the cheap M1 column with net 1, then route net 2 in parallel:
   // it should avoid the used edges (capacity 1).
@@ -316,6 +335,99 @@ TEST_F(MazeTest, ConstructorValidatesCostOptions) {
   EXPECT_THROW(MazeState(graph_, opts), std::invalid_argument);
 }
 
+/// One random search for the differential tests: a net, its sources and
+/// targets, and the bbox to clip to.
+struct SearchCase {
+  std::vector<GNode> sources;
+  std::vector<GNode> targets;
+  int net = 0;
+  int bx0 = 0, by0 = 0, bx1 = 0, by1 = 0;
+};
+
+/// Draws random multi-node source sets and pin-access target sets of the
+/// routable `nets`, full-core, bbox-clipped and unreachable.
+SearchCase draw_case(Rng& rng, const Netlist& nl, const TrackGraph& g,
+                     const std::vector<int>& nets) {
+  auto access = [&](const NetPin& p) {
+    return p.is_io() ? g.io_access_nodes(p.pin)
+                     : g.pin_access_nodes(p.inst, p.pin);
+  };
+  SearchCase c;
+  int net = nets[rng.uniform(nets.size())];
+  const Net& net_pins = nl.net(net);
+  // Targets: one pin's access nodes, sometimes a second pin's too.
+  std::size_t tp = rng.uniform(net_pins.pins.size());
+  std::vector<GNode>& targets = c.targets;
+  targets = access(net_pins.pins[tp]);
+  if (rng.chance(0.25)) {
+    std::vector<GNode> more =
+        access(net_pins.pins[rng.uniform(net_pins.pins.size())]);
+    targets.insert(targets.end(), more.begin(), more.end());
+  }
+  // Sources: another pin's access nodes plus a few random nodes, some of
+  // them off the lattice (M3 at odd gx, M4 at odd gy).
+  std::vector<GNode>& sources = c.sources;
+  sources = access(net_pins.pins[(tp + 1) % net_pins.pins.size()]);
+  for (int k = static_cast<int>(rng.uniform(4)); k > 0; --k) {
+    sources.push_back(
+        GNode{static_cast<int>(rng.uniform(kNumRouteLayers)),
+              static_cast<int>(rng.uniform_int(0, g.width())),
+              static_cast<int>(rng.uniform_int(0, g.height()))});
+  }
+  // Now and then search as another net, whose pins block this one's.
+  if (rng.chance(0.1)) net = static_cast<int>(rng.uniform(nl.num_nets()));
+  c.net = net;
+  int bx0 = 0, by0 = 0, bx1 = g.width(), by1 = g.height();
+  double kind = rng.uniform_real();
+  if (kind < 0.4) {
+    // The router's clip: the terminals' bbox plus a random margin.
+    bx0 = g.width(), by0 = g.height(), bx1 = 0, by1 = 0;
+    for (const auto* set : {&sources, &targets}) {
+      for (const GNode& n : *set) {
+        bx0 = std::min(bx0, n.gx);
+        by0 = std::min(by0, n.gy);
+        bx1 = std::max(bx1, n.gx);
+        by1 = std::max(by1, n.gy);
+      }
+    }
+    int m = static_cast<int>(rng.uniform(8));
+    bx0 = std::max(0, bx0 - m);
+    by0 = std::max(0, by0 - m);
+    bx1 = std::min(g.width(), bx1 + m);
+    by1 = std::min(g.height(), by1 + m);
+  } else if (kind < 0.55 && !sources.empty()) {
+    // A box around the first source alone: the targets usually lie
+    // outside it, so the whole box is searched in vain.
+    const GNode& s = sources.front();
+    int m = static_cast<int>(rng.uniform_int(1, 6));
+    bx0 = std::max(0, s.gx - m);
+    by0 = std::max(0, s.gy - m);
+    bx1 = std::min(g.width(), s.gx + m);
+    by1 = std::min(g.height(), s.gy + m);
+  }
+  c.bx0 = bx0, c.by0 = by0, c.bx1 = bx1, c.by1 = by1;
+  return c;
+}
+
+/// A routed design of `arch` at a congested utilization, so rip-up rounds
+/// leave usage and history.
+Design placed_congested(CellArch arch) {
+  DesignOptions opts;
+  opts.utilization = 0.85;  // congested: rip-up rounds leave history
+  Design d = make_design("tiny", arch, opts);
+  global_place(d);
+  legalize(d);
+  return d;
+}
+
+std::vector<int> routable_nets(const Netlist& nl) {
+  std::vector<int> nets;
+  for (int n = 0; n < nl.num_nets(); ++n) {
+    if (nl.net(n).routable()) nets.push_back(n);
+  }
+  return nets;
+}
+
 /// Differential test: on a routed design (so usage and history are not
 /// trivial), MazeState::search and the Dijkstra oracle return the same path
 /// node for node — or both none — for random multi-node source sets and
@@ -324,11 +436,7 @@ TEST_F(MazeTest, ConstructorValidatesCostOptions) {
 class MazeDifferential : public ::testing::TestWithParam<CellArch> {};
 
 TEST_P(MazeDifferential, SearchReturnsTheDijkstraPath) {
-  DesignOptions opts;
-  opts.utilization = 0.85;  // congested: rip-up rounds leave history
-  Design d = make_design("tiny", GetParam(), opts);
-  global_place(d);
-  legalize(d);
+  Design d = placed_congested(GetParam());
   obs::Counter& rounds = obs::counter("route.ripup_rounds");
   long rounds0 = rounds.value();
   Router router(d);
@@ -337,87 +445,33 @@ TEST_P(MazeDifferential, SearchReturnsTheDijkstraPath) {
   MazeState state = router.state();  // the final usage and history
   const TrackGraph& g = router.graph();
   const Netlist& nl = d.netlist();
-
-  std::vector<int> nets;
-  for (int n = 0; n < nl.num_nets(); ++n) {
-    if (nl.net(n).routable()) nets.push_back(n);
-  }
+  std::vector<int> nets = routable_nets(nl);
   ASSERT_FALSE(nets.empty());
-  auto access = [&](const NetPin& p) {
-    return p.is_io() ? g.io_access_nodes(p.pin)
-                     : g.pin_access_nodes(p.inst, p.pin);
-  };
 
   Rng rng(0xA57A4ULL + static_cast<std::uint64_t>(GetParam()));
   obs::Counter& pops = obs::counter("route.maze_expansions");
+  obs::Counter& pushes = obs::counter("route.maze_pushes");
   long ref_pops_total = 0;
   long pops_total = 0;
   int found = 0;
   int unreachable = 0;
   constexpr int kSearches = 300;
   for (int i = 0; i < kSearches; ++i) {
-    int net = nets[rng.uniform(nets.size())];
-    const Net& net_pins = nl.net(net);
-    // Targets: one pin's access nodes, sometimes a second pin's too.
-    std::size_t tp = rng.uniform(net_pins.pins.size());
-    std::vector<GNode> targets = access(net_pins.pins[tp]);
-    if (rng.chance(0.25)) {
-      std::vector<GNode> more =
-          access(net_pins.pins[rng.uniform(net_pins.pins.size())]);
-      targets.insert(targets.end(), more.begin(), more.end());
-    }
-    // Sources: another pin's access nodes plus a few random nodes, some of
-    // them off the lattice (M3 at odd gx, M4 at odd gy).
-    std::vector<GNode> sources =
-        access(net_pins.pins[(tp + 1) % net_pins.pins.size()]);
-    for (int k = static_cast<int>(rng.uniform(4)); k > 0; --k) {
-      sources.push_back(
-          GNode{static_cast<int>(rng.uniform(kNumRouteLayers)),
-                static_cast<int>(rng.uniform_int(0, g.width())),
-                static_cast<int>(rng.uniform_int(0, g.height()))});
-    }
-    // Now and then search as another net, whose pins block this one's.
-    if (rng.chance(0.1)) net = static_cast<int>(rng.uniform(nl.num_nets()));
-    int bx0 = 0, by0 = 0, bx1 = g.width(), by1 = g.height();
-    double kind = rng.uniform_real();
-    if (kind < 0.4) {
-      // The router's clip: the terminals' bbox plus a random margin.
-      bx0 = g.width(), by0 = g.height(), bx1 = 0, by1 = 0;
-      for (const auto* set : {&sources, &targets}) {
-        for (const GNode& n : *set) {
-          bx0 = std::min(bx0, n.gx);
-          by0 = std::min(by0, n.gy);
-          bx1 = std::max(bx1, n.gx);
-          by1 = std::max(by1, n.gy);
-        }
-      }
-      int m = static_cast<int>(rng.uniform(8));
-      bx0 = std::max(0, bx0 - m);
-      by0 = std::max(0, by0 - m);
-      bx1 = std::min(g.width(), bx1 + m);
-      by1 = std::min(g.height(), by1 + m);
-    } else if (kind < 0.55 && !sources.empty()) {
-      // A box around the first source alone: the targets usually lie
-      // outside it, so the whole box is searched in vain.
-      const GNode& s = sources.front();
-      int m = static_cast<int>(rng.uniform_int(1, 6));
-      bx0 = std::max(0, s.gx - m);
-      by0 = std::max(0, s.gy - m);
-      bx1 = std::min(g.width(), s.gx + m);
-      by1 = std::min(g.height(), s.gy + m);
-    }
-
+    const SearchCase c = draw_case(rng, nl, g, nets);
     long p0 = pops.value();
-    std::vector<GNode> want =
-        reference_search(state, sources, targets, net, bx0, by0, bx1, by1);
+    std::vector<GNode> want = reference_search(
+        state, c.sources, c.targets, c.net, c.bx0, c.by0, c.bx1, c.by1);
     long p1 = pops.value();
-    std::vector<GNode> got =
-        state.search(sources, targets, net, bx0, by0, bx1, by1);
+    long q1 = pushes.value();
+    std::vector<GNode> got = state.search(c.sources, c.targets, c.net, c.bx0,
+                                          c.by0, c.bx1, c.by1);
     long p2 = pops.value();
     ASSERT_EQ(got.size(), want.size()) << "search " << i;
     for (std::size_t k = 0; k < want.size(); ++k) {
       ASSERT_EQ(got[k], want[k]) << "search " << i << " node " << k;
     }
+    // Every entry a search pops it pushed itself.
+    EXPECT_LE(p2 - p1, pushes.value() - q1) << "search " << i;
     ref_pops_total += p1 - p0;
     pops_total += p2 - p1;
     (want.empty() ? unreachable : found) += 1;
@@ -432,6 +486,125 @@ TEST_P(MazeDifferential, SearchReturnsTheDijkstraPath) {
   EXPECT_LE(pops_total, ref_pops_total);
   std::printf("%d found, %d unreachable; heap pops %ld (oracle %ld)\n", found,
               unreachable, pops_total, ref_pops_total);
+}
+
+/// Cost of `path` at `state`'s current prices, summed from the source in
+/// the order the searches accumulate g.
+double path_cost(const MazeState& state, const std::vector<GNode>& path) {
+  const TrackGraph& g = state.graph();
+  double cost = 0.0;
+  for (std::size_t k = 0; k + 1 < path.size(); ++k) {
+    const GNode& a = path[k];
+    const GNode& b = path[k + 1];
+    if (a.layer == b.layer) {
+      const GNode& low = (a.gx + a.gy <= b.gx + b.gy) ? a : b;
+      cost += state.wire_cost(a.layer, g.node_id(low.layer, low.gx, low.gy));
+    } else {
+      cost += state.via_cost(g.node_id(std::min(a.layer, b.layer), a.gx, a.gy));
+    }
+  }
+  return cost;
+}
+
+/// `path` runs from one of the case's sources to one of its targets over
+/// edges its net may use, every edge inside the case's bbox.
+void expect_valid_path(const TrackGraph& g, const SearchCase& c,
+                       const std::vector<GNode>& path, int i) {
+  auto in_box = [&](const GNode& n) {
+    return n.gx >= c.bx0 && n.gx <= c.bx1 && n.gy >= c.by0 && n.gy <= c.by1;
+  };
+  auto contains = [](const std::vector<GNode>& set, const GNode& n) {
+    return std::find(set.begin(), set.end(), n) != set.end();
+  };
+  ASSERT_FALSE(path.empty());
+  const GNode& src = path.front();
+  EXPECT_TRUE(contains(c.sources, src)) << "search " << i;
+  EXPECT_TRUE(g.valid(src.layer, src.gx, src.gy) &&
+              g.passable(src.layer, src.gx, src.gy, c.net))
+      << "search " << i;
+  EXPECT_TRUE(contains(c.targets, path.back())) << "search " << i;
+  for (std::size_t k = 0; k + 1 < path.size(); ++k) {
+    const GNode& a = path[k];
+    const GNode& b = path[k + 1];
+    EXPECT_TRUE(in_box(a) && in_box(b)) << "search " << i << " edge " << k;
+    if (a.layer == b.layer) {
+      const bool vertical = TrackGraph::is_vertical(a.layer);
+      const int step = vertical ? b.gy - a.gy : b.gx - a.gx;
+      const bool along = vertical ? a.gx == b.gx : a.gy == b.gy;
+      ASSERT_TRUE(along && (step == 1 || step == -1))
+          << "search " << i << " edge " << k << " is not one wire step";
+      const GNode& low = step == 1 ? a : b;
+      EXPECT_TRUE(g.edge_allowed(low.layer, low.gx, low.gy, c.net))
+          << "search " << i << " edge " << k;
+    } else {
+      ASSERT_TRUE(std::abs(a.layer - b.layer) == 1 && a.gx == b.gx &&
+                  a.gy == b.gy)
+          << "search " << i << " edge " << k << " is not one via";
+      EXPECT_TRUE(g.valid(b.layer, b.gx, b.gy) &&
+                  g.passable(b.layer, b.gx, b.gy, c.net))
+          << "search " << i << " edge " << k;
+    }
+  }
+}
+
+/// Non-integer costs: each A* path must cost what the Dijkstra path costs,
+/// within 1e-9 relative, and be a real path of its search. Two cost sets:
+///   * 3.5 / 7.25 / 0.5 are binary fractions, so every path sum is still
+///     exact and the searches agree node for node, as at integer costs;
+///   * 3.3 / 7.1 / 0.3 are not: sums round, so f = g + h can round below a
+///     parent's f and the open list clamps the push to the last key popped
+///     (tens of thousands of times over one draw), and two optimal paths
+///     may compare unequal by a rounding error, so the searches may pick
+///     different ones. Without the clamp the queue pops out of order and the
+///     12T draw returns a costlier path.
+TEST_P(MazeDifferential, FractionalCostsKeepTheDijkstraCost) {
+  Design d = placed_congested(GetParam());
+  Router router(d);
+  router.route();
+  const TrackGraph& g = router.graph();
+  const Netlist& nl = d.netlist();
+  std::vector<int> nets = routable_nets(nl);
+  ASSERT_FALSE(nets.empty());
+
+  for (const auto& [via, overuse, history] :
+       {std::tuple{3.5, 7.25, 0.5}, std::tuple{3.3, 7.1, 0.3}}) {
+    MazeCostOptions costs;
+    costs.via_cost = via;
+    costs.overuse_penalty = overuse;
+    costs.history_weight = history;
+    MazeState state(g, costs);
+    for (std::size_t e = 0; e < g.num_nodes(); ++e) {
+      state.add_wire(e, router.state().wire_use(e));
+      state.add_via(e, router.state().via_use(e));
+    }
+    state.accumulate_history();
+    ASSERT_GT(state.total_overflow(), 0) << "no overuse: history is zero";
+
+    Rng rng(0xF4AC7ULL + static_cast<std::uint64_t>(GetParam()));
+    int found = 0;
+    int same_path = 0;
+    constexpr int kSearches = 300;
+    for (int i = 0; i < kSearches; ++i) {
+      const SearchCase c = draw_case(rng, nl, g, nets);
+      std::vector<GNode> want = reference_search(
+          state, c.sources, c.targets, c.net, c.bx0, c.by0, c.bx1, c.by1);
+      std::vector<GNode> got = state.search(c.sources, c.targets, c.net,
+                                            c.bx0, c.by0, c.bx1, c.by1);
+      ASSERT_EQ(got.empty(), want.empty()) << "search " << i;
+      if (want.empty()) continue;
+      ++found;
+      same_path += got == want;
+      const double cost = path_cost(state, got);
+      const double ref_cost = path_cost(state, want);
+      EXPECT_LE(std::abs(cost - ref_cost), 1e-9 * ref_cost)
+          << "via " << via << ", search " << i << ": " << cost << " vs "
+          << ref_cost;
+      expect_valid_path(g, c, got, i);
+    }
+    EXPECT_GT(found, kSearches / 4);
+    std::printf("via %g: %d found, %d node for node\n", via, found,
+                same_path);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Archs, MazeDifferential,
