@@ -1,5 +1,6 @@
 #include "lp/factor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -8,9 +9,10 @@
 namespace vm1::lp::detail {
 
 namespace {
-// Entries smaller than this are dropped when storing an eta: they are
-// below double round-off for the coefficient magnitudes the builders emit
-// and only bloat the file.
+// Entries smaller than this are dropped when storing a factor eta: they are
+// below double round-off for the coefficient magnitudes the builders emit,
+// and keeping them moves the inverse, and with it the pivot sequence, in
+// its last bits.
 constexpr double kDropTol = 1e-13;
 }  // namespace
 
@@ -19,15 +21,9 @@ bool EtaFactor::factorize(const BasisColumns& cols, double pivot_tol) {
   ops_.clear();
   idx_.clear();
   val_.clear();
-  factor_ops_ = 0;
   factored_ = false;
-  dense_ = false;  // back to the eta file until the owner collapse()s again
-  dense_updates_ = 0;
+  updates_ = 0;
   slot_row_.assign(m_, -1);
-  if (m_ == 0) {
-    factored_ = true;
-    return true;
-  }
 
   // Working copy of the basis columns; elimination rewrites them in place
   // (with fill-in), so they live in per-column vectors rather than a pool.
@@ -154,12 +150,9 @@ bool EtaFactor::factorize(const BasisColumns& cols, double pivot_tol) {
 
     ops_.push_back(op);
   }
-  factor_ops_ = static_cast<int>(ops_.size());
-  factored_ = true;
-  return true;
-}
 
-void EtaFactor::collapse() {
+  // Fold the etas into B^-1 one identity column at a time, so each column
+  // stays in cache while every eta is applied to it.
   inv_.assign(static_cast<std::size_t>(m_) * m_, 0.0);
   fscratch_.resize(m_);
   const int* idx = idx_.data();
@@ -175,39 +168,19 @@ void EtaFactor::collapse() {
       col[op.row] = t;
     }
   }
-  ops_.clear();
-  idx_.clear();
-  val_.clear();
-  factor_ops_ = 0;
-  dense_ = true;
-  dense_updates_ = 0;
+  factored_ = true;
+  return true;
 }
 
-void EtaFactor::reset_diagonal(const double* diag, int m, bool dense) {
+void EtaFactor::reset_diagonal(const double* diag, int m) {
   m_ = m;
-  ops_.clear();
-  idx_.clear();
-  val_.clear();
-  factor_ops_ = 0;
-  dense_ = dense;
-  dense_updates_ = 0;
+  updates_ = 0;
   slot_row_.resize(m);
   for (int i = 0; i < m; ++i) slot_row_[i] = i;
-  if (dense) {
-    inv_.assign(static_cast<std::size_t>(m) * m, 0.0);
-    fscratch_.resize(m);
-    for (int i = 0; i < m; ++i) {
-      inv_[static_cast<std::size_t>(i) * m + i] = 1.0 / diag[i];
-    }
-  } else {
-    for (int i = 0; i < m; ++i) {
-      Op op;
-      op.row = i;
-      op.inv_pivot = 1.0 / diag[i];
-      op.begin = op.end = static_cast<int>(idx_.size());
-      ops_.push_back(op);
-    }
-    factor_ops_ = static_cast<int>(ops_.size());
+  inv_.assign(static_cast<std::size_t>(m) * m, 0.0);
+  fscratch_.resize(m);
+  for (int i = 0; i < m; ++i) {
+    inv_[static_cast<std::size_t>(i) * m + i] = 1.0 / diag[i];
   }
   factored_ = true;
 }
@@ -215,108 +188,71 @@ void EtaFactor::reset_diagonal(const double* diag, int m, bool dense) {
 void EtaFactor::ftran(double* x) const {
   static obs::Counter& ftrans = obs::counter("lp.ftran");
   ftrans.add();
-  if (dense_) {
-    // y = B^-1 x as a sum of scaled inverse columns; the loads/stores are
-    // contiguous and entering columns are sparse, so most j are skipped.
-    double* y = fscratch_.data();
-    std::fill(y, y + m_, 0.0);
-    for (int j = 0; j < m_; ++j) {
-      const double xj = x[j];
-      if (xj == 0.0) continue;
-      const double* col = inv_.data() + static_cast<std::size_t>(j) * m_;
-      for (int i = 0; i < m_; ++i) y[i] += xj * col[i];
-    }
-    std::copy(y, y + m_, x);
-    return;
+  // y = B^-1 x as a sum of scaled inverse columns; the loads/stores are
+  // contiguous and entering columns are sparse, so most j are skipped.
+  double* y = fscratch_.data();
+  std::fill(y, y + m_, 0.0);
+  for (int j = 0; j < m_; ++j) {
+    const double xj = x[j];
+    if (xj == 0.0) continue;
+    const double* col = inv_.data() + static_cast<std::size_t>(j) * m_;
+    for (int i = 0; i < m_; ++i) y[i] += xj * col[i];
   }
-  const int* idx = idx_.data();
-  const double* val = val_.data();
-  for (const Op& op : ops_) {
-    double t = x[op.row];
-    if (t == 0.0) continue;  // sparse rhs: this eta cannot touch anything
-    t *= op.inv_pivot;
-    for (int e = op.begin; e < op.end; ++e) x[idx[e]] -= val[e] * t;
-    x[op.row] = t;
-  }
+  std::copy(y, y + m_, x);
 }
 
 void EtaFactor::btran(double* x) const {
   static obs::Counter& btrans = obs::counter("lp.btran");
   btrans.add();
-  if (dense_) {
-    // (B^-T x)_j = <column j of B^-1, x>. The dual pivot row asks for
-    // B^-T e_r constantly, so very sparse inputs take a strided gather
-    // instead of m full dot products.
-    double* y = fscratch_.data();
-    int nnz = 0;
-    int nz[4];
-    for (int i = 0; i < m_; ++i) {
-      if (x[i] == 0.0) continue;
-      if (nnz == 4) {
-        nnz = 5;
-        break;
-      }
-      nz[nnz++] = i;
+  // (B^-T x)_j = <column j of B^-1, x>. The dual pivot row asks for
+  // B^-T e_r constantly, so very sparse inputs take a strided gather
+  // instead of m full dot products.
+  double* y = fscratch_.data();
+  int nnz = 0;
+  int nz[4];
+  for (int i = 0; i < m_; ++i) {
+    if (x[i] == 0.0) continue;
+    if (nnz == 4) {
+      nnz = 5;
+      break;
     }
-    if (nnz <= 4) {
-      for (int j = 0; j < m_; ++j) {
-        const double* col = inv_.data() + static_cast<std::size_t>(j) * m_;
-        double s = 0;
-        for (int k = 0; k < nnz; ++k) s += col[nz[k]] * x[nz[k]];
-        y[j] = s;
-      }
-    } else {
-      for (int j = 0; j < m_; ++j) {
-        const double* col = inv_.data() + static_cast<std::size_t>(j) * m_;
-        double s = 0;
-        for (int i = 0; i < m_; ++i) s += col[i] * x[i];
-        y[j] = s;
-      }
+    nz[nnz++] = i;
+  }
+  if (nnz <= 4) {
+    for (int j = 0; j < m_; ++j) {
+      const double* col = inv_.data() + static_cast<std::size_t>(j) * m_;
+      double s = 0;
+      for (int k = 0; k < nnz; ++k) s += col[nz[k]] * x[nz[k]];
+      y[j] = s;
     }
-    std::copy(y, y + m_, x);
-    return;
+  } else {
+    for (int j = 0; j < m_; ++j) {
+      const double* col = inv_.data() + static_cast<std::size_t>(j) * m_;
+      double s = 0;
+      for (int i = 0; i < m_; ++i) s += col[i] * x[i];
+      y[j] = s;
+    }
   }
-  const int* idx = idx_.data();
-  const double* val = val_.data();
-  for (auto it = ops_.rbegin(); it != ops_.rend(); ++it) {
-    const Op& op = *it;
-    double s = x[op.row];
-    for (int e = op.begin; e < op.end; ++e) s -= val[e] * x[idx[e]];
-    x[op.row] = s * op.inv_pivot;
-  }
+  std::copy(y, y + m_, x);
 }
 
-bool EtaFactor::append(int row, const double* alpha, double pivot_tol) {
-  static obs::Counter& eta_length = obs::counter("lp.eta_length");
-  double vp = alpha[row];
+bool EtaFactor::append(int row, const double* alpha, const double* rho,
+                       double pivot_tol) {
+  const double vp = alpha[row];
   if (std::abs(vp) < pivot_tol) return false;
-  if (dense_) {
-    // Eager product-form update: B'^-1 = E B^-1 applied column by column
-    // as a rank-1 outer product. Columns with a zero pivot-row entry are
-    // untouched (t == 0 leaves every element, including row `row`, as-is).
-    const double inv_piv = 1.0 / vp;
-    for (int c = 0; c < m_; ++c) {
-      double* col = inv_.data() + static_cast<std::size_t>(c) * m_;
-      const double t = col[row] * inv_piv;
-      if (t == 0.0) continue;
-      for (int i = 0; i < m_; ++i) col[i] -= alpha[i] * t;
-      col[row] = t;
-    }
-    ++dense_updates_;
-    return true;
+  // Eager product-form update: B'^-1 = E B^-1 applied column by column as a
+  // rank-1 outer product. rho[c] is column c's entry in row `row`, so
+  // columns where it is zero are untouched (t == 0 leaves every element,
+  // including row `row`, as-is).
+  const double inv_piv = 1.0 / vp;
+  for (int c = 0; c < m_; ++c) {
+    const double t = rho[c] * inv_piv;
+    if (t == 0.0) continue;
+    double* col = inv_.data() + static_cast<std::size_t>(c) * m_;
+    for (int i = 0; i < m_; ++i) col[i] -= alpha[i] * t;
+    col[row] = t;
   }
-  Op op;
-  op.row = row;
-  op.inv_pivot = 1.0 / vp;
-  op.begin = static_cast<int>(idx_.size());
-  for (int i = 0; i < m_; ++i) {
-    if (i == row || std::abs(alpha[i]) < kDropTol) continue;
-    idx_.push_back(i);
-    val_.push_back(alpha[i]);
-  }
-  op.end = static_cast<int>(idx_.size());
-  ops_.push_back(op);
-  eta_length.add(op.end - op.begin + 1);
+  ++updates_;
   return true;
 }
 

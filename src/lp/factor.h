@@ -1,29 +1,23 @@
 /// \file factor.h
-/// Product-form basis factorization for the revised simplex engine.
+/// Basis factorization for the revised simplex engine: an explicit dense
+/// inverse.
 ///
-/// The basis inverse is represented as a sequence of Gauss-Jordan
-/// elementary transforms ("etas"): B^-1 = G_k ... G_1 where each G applies
-///   t = x[r] / pivot;  x[i] -= v_i * t (i != r);  x[r] = t.
-/// The first m etas come from factorizing the basis submatrix with
-/// Markowitz-ordered, threshold-pivoted Gauss-Jordan elimination; each
-/// subsequent simplex pivot appends one more eta built from the FTRANed
-/// entering column (product-form update — the rank-1 special case of
-/// Forrest-Tomlin), so a pivot costs O(nnz) instead of rewriting an m x n
-/// tableau. FTRAN applies the etas forward, BTRAN applies their transposes
-/// in reverse. The eta file grows with every pivot; the owning engine
-/// refactorizes when updates() crosses its interval or a consistency check
-/// fails, which resets the file to a fresh m-eta factorization.
-///
-/// For small bases the owner may collapse() the factorization into an
-/// explicit dense B^-1 (column-major m x m). Each product-form update is
-/// then applied eagerly as a rank-1 outer-product on contiguous columns and
-/// FTRAN/BTRAN become dense column passes the compiler vectorizes — no eta
-/// chain ever accumulates, so walks stay O(m^2) regardless of how many
-/// pivots separate refactorizations, and the refactor interval can be an
-/// order of magnitude longer. Past the dimension cutoff the m^2 cost per
-/// pivot loses to the sparse eta file, which remains the default.
+/// The engine keeps B^-1 itself, column-major m x m. A refactorization runs
+/// Markowitz-ordered, threshold-pivoted sparse Gauss-Jordan elimination on
+/// the basis columns, which yields m elementary transforms ("etas")
+/// B^-1 = G_m ... G_1, each applying
+///   t = x[r] / pivot;  x[i] -= v_i * t (i != r);  x[r] = t,
+/// and then folds them into the inverse one identity column at a time. Each
+/// simplex pivot applies its product-form update (the eta of the FTRANed
+/// entering column, the rank-1 special case of Forrest-Tomlin) eagerly as a
+/// rank-1 outer product over contiguous columns, and FTRAN/BTRAN are dense
+/// column passes the compiler vectorizes. No eta chain accumulates, so a
+/// pivot costs O(m^2) however many pivots separate refactorizations, and the
+/// owner refactorizes only for numerical hygiene or when a consistency check
+/// fails. The inverse takes 8 m^2 bytes, which lp::kMaxRows bounds.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 namespace vm1::lp::detail {
@@ -53,49 +47,39 @@ struct BasisColumns {
 class EtaFactor {
  public:
   /// Factorizes the m basis columns in `cols` (Markowitz ordering with
-  /// threshold partial pivoting). Returns false on a numerically singular
-  /// basis. On success slot_row()[k] is the pivot row assigned to basis
-  /// slot k — a permutation of [0, m); the caller relabels its basis so
-  /// that slot k == row slot_row()[k], after which ftran() of a column
-  /// yields tableau entries indexed directly by row.
+  /// threshold partial pivoting) and builds B^-1 from the factor etas.
+  /// Returns false on a numerically singular basis. On success slot_row()[k]
+  /// is the pivot row assigned to basis slot k — a permutation of [0, m);
+  /// the caller relabels its basis so that slot k == row slot_row()[k],
+  /// after which ftran() of a column yields tableau entries indexed directly
+  /// by row.
   bool factorize(const BasisColumns& cols, double pivot_tol);
 
-  /// Collapses the current factorization (factor etas plus any appended
-  /// updates) into an explicit dense inverse and drops the eta file.
-  /// Subsequent append()s update the inverse in place; updates() counts
-  /// them so the owner's refactor interval still bounds drift.
-  void collapse();
-
   /// Loads a diagonal basis B = diag(d) directly — the slack/artificial
-  /// starting basis of a cold solve. O(m), no elimination: this is a basis
-  /// load, not a refactorization, and is deliberately not counted as one.
-  /// `dense` selects the explicit-inverse representation.
-  void reset_diagonal(const double* diag, int m, bool dense);
-
-  bool dense_inverse() const { return dense_; }
+  /// starting basis of a cold solve. No elimination: this is a basis load,
+  /// not a refactorization, and is deliberately not counted as one.
+  void reset_diagonal(const double* diag, int m);
 
   const std::vector<int>& slot_row() const { return slot_row_; }
 
-  /// x := B^-1 x (dense vector of length m). Skips etas whose pivot-row
-  /// entry is exactly zero, so sparse right-hand sides stay cheap.
+  /// x := B^-1 x (dense vector of length m). Inverse columns whose x entry
+  /// is exactly zero are skipped, so sparse right-hand sides stay cheap.
   void ftran(double* x) const;
 
   /// x := B^-T x (dense vector of length m).
   void btran(double* x) const;
 
-  /// Appends the product-form update eta for a pivot at `row` whose
-  /// FTRANed entering column is `alpha` (dense, length m). Returns false
-  /// when the pivot element is numerically unusable (caller refactorizes).
-  bool append(int row, const double* alpha, double pivot_tol);
+  /// Applies the product-form update for a pivot at `row` whose FTRANed
+  /// entering column is `alpha` (dense, length m). `rho` is row `row` of
+  /// the current inverse, e_row^T B^-1, which the owner has just computed
+  /// by btran() to gather the pivot row. Returns false when the pivot
+  /// element is numerically unusable (caller refactorizes).
+  bool append(int row, const double* alpha, const double* rho,
+              double pivot_tol);
 
-  int size() const { return static_cast<int>(ops_.size()); }
-  /// Updates appended since the last factorize()/collapse()/reset.
-  int updates() const {
-    return dense_ ? dense_updates_
-                  : static_cast<int>(ops_.size()) - factor_ops_;
-  }
+  /// Updates appended since the last factorize()/reset_diagonal().
+  int updates() const { return updates_; }
   bool factorized() const { return factored_; }
-  int dim() const { return m_; }
 
  private:
   struct Op {
@@ -105,24 +89,21 @@ class EtaFactor {
     int end;
   };
 
-  void apply_op(const Op& op, double* x) const;
-
-  std::vector<Op> ops_;
-  std::vector<int> idx_;
-  std::vector<double> val_;
   std::vector<int> slot_row_;
   int m_ = 0;
-  int factor_ops_ = 0;
+  int updates_ = 0;
   bool factored_ = false;
 
-  // Explicit-inverse mode: inv_ is B^-1 column-major (inv_[c*m_ + i] is
-  // row i of column c); fscratch_ is the dense FTRAN/BTRAN temporary.
-  bool dense_ = false;
-  int dense_updates_ = 0;
+  // inv_ is B^-1 column-major (inv_[c*m_ + i] is row i of column c);
+  // fscratch_ is the FTRAN/BTRAN temporary.
   std::vector<double> inv_;
   mutable std::vector<double> fscratch_;
 
-  // Factorization workspace (reused across refactorizations).
+  // Factorization workspace (reused across refactorizations): the factor
+  // etas, the working basis columns and the Markowitz counts.
+  std::vector<Op> ops_;
+  std::vector<int> idx_;
+  std::vector<double> val_;
   std::vector<std::vector<std::pair<int, double>>> wcols_;
   std::vector<double> acc_;
   std::vector<int> stamp_;

@@ -33,18 +33,7 @@ RevisedCore::RevisedCore(const Problem& p, const SimplexSolver::Options& opts)
     : opts_(opts),
       A_(&p.columns()),
       n_struct_(p.num_variables()),
-      m_(p.num_constraints()) {
-  dense_inv_ = m_ > 0 && m_ <= opts.dense_inverse_dim;
-  // In eta-file mode long intervals grow the file (FTRAN/BTRAN walk every
-  // eta), so the automatic choice is a flat budget plus slack for bigger
-  // bases. The explicit inverse has no chain to walk — refactorization is
-  // then purely numerical hygiene and the interval stretches accordingly.
-  // Per-pivot consistency checks force an immediate rebuild on drift
-  // regardless of the interval.
-  refactor_interval_ = opts.refactor_interval > 0 ? opts.refactor_interval
-                       : dense_inv_               ? 4096
-                                                  : 128 + 2 * m_;
-}
+      m_(p.num_constraints()) {}
 
 void RevisedCore::size_for(int nart) {
   n_art_begin_ = n_struct_ + m_;
@@ -141,7 +130,6 @@ bool RevisedCore::refactorize() {
     ws_.cols.close_column();
   }
   if (!factor_.factorize(ws_.cols, opts_.pivot_tol)) return false;
-  if (dense_inv_) factor_.collapse();
   // Relabel basis slots onto their factorization pivot rows so FTRAN output
   // is row-indexed directly (column k of the basis was assigned pivot row
   // slot_row[k]).
@@ -249,7 +237,9 @@ int RevisedCore::choose_entering(bool bland) const {
 bool RevisedCore::apply_pivot(int r, int q, int leave_dir, double enter_val,
                               bool use_devex) {
   const double arq = ws_.alpha[r];
-  if (!factor_.append(r, ws_.alpha.data(), opts_.pivot_tol)) return false;
+  if (!factor_.append(r, ws_.alpha.data(), ws_.rho.data(), opts_.pivot_tol)) {
+    return false;
+  }
   const int leaving = basis_[r];
   if (use_devex) {
     devex_.update(q, leaving, arq, ws_.rowvals.data(), ws_.support.data(),
@@ -286,7 +276,7 @@ Status RevisedCore::iterate(bool phase1) {
         timer_.seconds() > opts_.time_limit_sec) {
       return Status::kIterLimit;
     }
-    if (factor_.updates() >= refactor_interval_) {
+    if (factor_.updates() >= kRefactorInterval) {
       if (!refresh()) return Status::kIterLimit;
     }
     const int j = choose_entering(bland);
@@ -336,7 +326,7 @@ Status RevisedCore::iterate(bool phase1) {
     }
 
     if (leave_row < 0) {
-      // Bound flip: no basis change, no eta — just shift beta.
+      // Bound flip: no basis change, no update — just shift beta.
       const double t = ub_[j];
       for (int i = 0; i < m_; ++i) beta_[i] -= dj * alpha[i] * t;
       set_state(j, state_[j] == VarState::kAtLower ? VarState::kAtUpper
@@ -348,7 +338,7 @@ Status RevisedCore::iterate(bool phase1) {
     gather_pivot_row(r);
     const double arq = alpha[r];
     // Consistency: the FTRANed column and BTRANed row must agree on the
-    // pivot element; disagreement means the eta file has drifted.
+    // pivot element; disagreement means the inverse has drifted.
     const bool drifted =
         std::abs(rowval(j) - arq) > kConsistencyTol * std::max(1.0, std::abs(arq));
     if (drifted) {
@@ -387,7 +377,7 @@ Status RevisedCore::dual_iterate() {
         timer_.seconds() > opts_.time_limit_sec) {
       return Status::kIterLimit;
     }
-    if (factor_.updates() >= refactor_interval_) {
+    if (factor_.updates() >= kRefactorInterval) {
       if (!refresh()) return Status::kIterLimit;
     }
     // Leaving row: basic variable with the largest bound violation.
@@ -571,15 +561,15 @@ Result RevisedCore::run_cold(const Problem& p) {
     cost_ = cost2_;
   }
   // The starting basis is diagonal (slack +1 / artificial +-1 per row), so
-  // it is loaded directly in O(m) — no elimination, and deliberately not
-  // counted as a refactorization.
+  // it is loaded directly — no elimination, and deliberately not counted as
+  // a refactorization.
   {
     double* diag = ws_.y.data();
     for (int i = 0; i < m_; ++i) diag[i] = 1.0;
     for (std::size_t k = 0; k < art_row_.size(); ++k) {
       diag[art_row_[k]] = art_sign_[k];
     }
-    factor_.reset_diagonal(diag, m_, dense_inv_);
+    factor_.reset_diagonal(diag, m_);
     recompute_beta();
   }
 

@@ -5,28 +5,22 @@
 /// Instead of an explicit m x ncols tableau (rewritten in full on every
 /// pivot), this engine keeps only:
 ///  * the shared sparse constraint columns (Problem::columns(), CSC + CSR),
-///  * a product-form factorization of the current basis (EtaFactor):
-///    Markowitz-ordered sparse Gauss-Jordan etas plus one rank-1 update eta
-///    per pivot,
+///  * the explicit dense inverse of the current basis (EtaFactor), built by
+///    a Markowitz-ordered sparse Gauss-Jordan factorization and updated in
+///    place by one rank-1 product-form update per pivot,
 ///  * the dense m-vector of basic values (beta_) and the ncols-vector of
 ///    reduced costs (zrow_), both updated incrementally per pivot.
 ///
-/// A pivot therefore costs FTRAN + BTRAN + one sparse row gather — O(nnz of
-/// the eta file + nnz of the pivot row) — instead of O(m * ncols). The eta
-/// file grows by one eta per pivot and is reset by a refactorization, which
-/// runs only when the file passes the scheduled interval or a per-pivot
-/// consistency check detects drift; verdicts are validated by O(nnz)
-/// residual checks against the original matrix instead of by refactorizing,
-/// which is what cuts lp.refactorizations by orders of magnitude versus a
-/// refactor-to-certify policy.
-///
-/// Bases with at most Options::dense_inverse_dim rows additionally collapse
-/// the factorization into an explicit dense B^-1 (EtaFactor::collapse):
-/// pivots become contiguous rank-1 updates and FTRAN/BTRAN dense column
-/// passes, so per-pivot cost no longer depends on how many pivots separate
-/// refactorizations and the refactor interval stretches to a numerical
-/// hygiene backstop. The cold start loads the diagonal slack/artificial
-/// basis directly in O(m) without counting a refactorization at all.
+/// A pivot therefore costs FTRAN + BTRAN + one rank-1 update (dense O(m^2)
+/// column passes) + one sparse row gather, instead of O(m * ncols), and
+/// that cost does not grow with the pivots since the last refactorization.
+/// A refactorization runs only every kRefactorInterval updates (numerical
+/// hygiene) or when a per-pivot consistency check detects drift; verdicts
+/// are validated by O(nnz) residual checks against the original matrix
+/// instead of by refactorizing, which is what cuts lp.refactorizations by
+/// orders of magnitude versus a refactor-to-certify policy. The cold start
+/// loads the diagonal slack/artificial basis directly in O(m^2) without
+/// counting a refactorization at all.
 ///
 /// Warm re-solves recompute beta (one FTRAN of the bound-adjusted rhs) and
 /// the reduced costs (one BTRAN + sparse dot per column) from scratch at
@@ -43,13 +37,18 @@
 
 namespace vm1::lp::detail {
 
+/// Basis updates applied to the inverse before a scheduled refactorization.
+/// A pivot's cost does not grow with the update count, so this only bounds
+/// round-off; a failed per-pivot consistency check refactorizes at once.
+inline constexpr int kRefactorInterval = 4096;
+
 /// Per-solve scratch, allocated once and reused for every solve a
 /// RevisedCore performs (IncrementalSimplex keeps one core hot across an
 /// entire branch-and-bound dive, so repeated solves never touch the
 /// allocator). All vectors are sized by ensure() at solve entry.
 struct SolveWorkspace {
   std::vector<double> alpha;    ///< FTRANed entering column (m)
-  std::vector<double> rho;      ///< BTRANed pivot-row unit vector (m)
+  std::vector<double> rho;      ///< pivot row of B^-1, B^-T e_r (m)
   std::vector<double> rowvals;  ///< gathered pivot tableau row (ncols)
   std::vector<int> support;     ///< nonzero columns of rowvals
   std::vector<int> col_stamp;   ///< rowvals validity stamps (ncols)
@@ -95,14 +94,15 @@ class RevisedCore {
   /// ws_.alpha := B^-1 A_j.
   void ftran_column(int j);
   /// Gathers tableau pivot row r into ws_.rowvals / ws_.support via
-  /// rho = B^-T e_r and the CSR rows of its support.
+  /// rho = B^-T e_r and the CSR rows of its support; rho stays in ws_.rho
+  /// for the inverse update of the pivot.
   void gather_pivot_row(int r);
   double rowval(int j) const {
     return ws_.col_stamp[j] == ws_.stamp_gen ? ws_.rowvals[j] : 0.0;
   }
 
-  /// Refactorizes the current basis (assemble columns, Markowitz factorize,
-  /// relabel slots to pivot rows). False on a singular basis.
+  /// Refactorizes the current basis (assemble columns, factorize and
+  /// invert, relabel slots to pivot rows). False on a singular basis.
   bool refactorize();
   /// refactorize() + recompute beta and zrow. False on a singular basis.
   bool refresh();
@@ -119,10 +119,11 @@ class RevisedCore {
   bool residual_ok();
 
   int choose_entering(bool bland) const;
-  /// Shared pivot bookkeeping once (r, q) is fixed and ws_.alpha /
-  /// ws_.rowvals are loaded: eta append, Devex weights (primal only),
-  /// incremental zrow update, state and basis flips. beta is updated by the caller (primal and dual move it
-  /// differently). Returns false when the eta pivot is numerically unusable.
+  /// Shared pivot bookkeeping once (r, q) is fixed and ws_.alpha, ws_.rho and
+  /// ws_.rowvals are loaded: inverse update, Devex weights (primal only),
+  /// incremental zrow update, state and basis flips. beta is updated by the
+  /// caller (primal and dual move it differently). Returns false when the
+  /// pivot element is numerically unusable.
   bool apply_pivot(int r, int q, int leave_dir, double enter_val,
                    bool use_devex);
 
@@ -138,8 +139,6 @@ class RevisedCore {
   int m_;
   int ncols_ = 0;
   int n_art_begin_ = 0;
-  int refactor_interval_ = 0;
-  bool dense_inv_ = false;  ///< collapse factorizations to explicit B^-1
 
   std::vector<double> beta_;   ///< basic values, indexed by row
   std::vector<double> ub_;     ///< normalized upper bounds (lower = 0)

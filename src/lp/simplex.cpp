@@ -24,6 +24,21 @@ void record_solve(const Result& r, bool warm) {
   if (warm) warm_solves.add();
 }
 
+Result status_only(Status s) {
+  Result r;
+  r.status = s;
+  return r;
+}
+
+/// True, counted in lp.too_large, for an LP whose basis inverse would
+/// exceed the kMaxRows budget: its solve ends before the engine allocates.
+bool too_large(const Problem& p) {
+  static obs::Counter& refused = obs::counter("lp.too_large");
+  if (p.num_constraints() <= kMaxRows) return false;
+  refused.add();
+  return true;
+}
+
 }  // namespace
 
 const char* to_string(Status s) {
@@ -160,12 +175,8 @@ ColumnMatrix ColumnMatrix::build(const Problem& p) {
 }  // namespace detail
 
 Result SimplexSolver::solve(const Problem& p) const {
-  if (p.num_variables() == 0) {
-    Result r;
-    r.status = Status::kOptimal;
-    r.objective = 0;
-    return r;
-  }
+  if (p.num_variables() == 0) return status_only(Status::kOptimal);
+  if (too_large(p)) return status_only(Status::kIterLimit);
   obs::ObsSpan span("lp.solve");
   span.arg("warm", "cold");
   detail::RevisedCore c(p, opts_);
@@ -189,12 +200,8 @@ void IncrementalSimplex::set_bounds(int v, double lo, double hi) {
 void IncrementalSimplex::invalidate() { hot_ = false; }
 
 Result IncrementalSimplex::solve() {
-  if (prob_.num_variables() == 0) {
-    Result r;
-    r.status = Status::kOptimal;
-    r.objective = 0;
-    return r;
-  }
+  if (prob_.num_variables() == 0) return status_only(Status::kOptimal);
+  if (too_large(prob_)) return status_only(Status::kIterLimit);
   obs::ObsSpan span("lp.solve");
   span.arg("warm", hot_ ? "warm" : "cold");
   int wasted = 0;

@@ -3,13 +3,16 @@
 ///
 /// This is the LP engine underneath the branch-and-bound MILP solver
 /// (src/milp) that OpenVM1 uses in place of the paper's CPLEX 12.6.3. There
-/// is one engine: a revised simplex over a product-form basis factorization
-/// — Markowitz-ordered sparse LU of the basis, rank-1 eta updates per pivot,
-/// Devex pricing, shared CSC/CSR constraint columns (see revised.h and
-/// DESIGN.md "LP/MILP solver internals"). A pivot costs O(nnz) instead of
-/// rewriting a whole tableau, which is what makes a warm basis nearly free.
-/// An independent dense-tableau solver lives under tests/support as the
-/// differential-test oracle; it is not part of the library.
+/// is one engine: a revised simplex over an explicit dense basis inverse —
+/// built from a Markowitz-ordered sparse Gauss-Jordan factorization and
+/// updated by one rank-1 product-form update per pivot — with Devex
+/// pricing and shared CSC/CSR constraint columns (see revised.h and
+/// DESIGN.md "LP/MILP solver internals"). A pivot costs O(m^2) dense column
+/// passes instead of rewriting a whole tableau, which is what makes a warm
+/// basis nearly free. The inverse takes 8 m^2 bytes per solve, so LPs with
+/// more than kMaxRows rows are refused. An independent dense-tableau solver
+/// lives under tests/support as the differential-test oracle; it is not
+/// part of the library.
 ///
 /// Two solve paths:
 ///  * cold: two-phase primal from the slack basis (SimplexSolver::solve);
@@ -40,6 +43,12 @@ class RevisedCore;
 
 /// Infinity marker for variable upper bounds.
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Largest number of constraints a solve accepts. The engine keeps the basis
+/// inverse explicitly, 8 m^2 bytes per solve (128 MiB at this size), so a
+/// larger LP returns Status::kIterLimit before anything is allocated and
+/// counts in the lp.too_large metric.
+inline constexpr int kMaxRows = 4096;
 
 enum class Sense { kLe, kGe, kEq };
 
@@ -123,6 +132,8 @@ struct Result {
 /// Two-phase simplex with bounded variables.
 class SimplexSolver {
  public:
+  /// Every field travels with a window job (put_mip) and enters its
+  /// signature (window_signature).
   struct Options {
     int max_iterations = 200000;
     /// Wall-clock budget; <= 0 means unlimited. Exceeding it returns
@@ -130,26 +141,13 @@ class SimplexSolver {
     double time_limit_sec = 0;
     double tol = 1e-7;        ///< feasibility / optimality tolerance
     double pivot_tol = 1e-9;  ///< minimum |pivot| accepted
-    /// Update etas tolerated before a scheduled refactorization. 0 means
-    /// automatic (scales with the row count in eta-file mode; an order of
-    /// magnitude longer in explicit-inverse mode, where walks don't grow
-    /// with the update count). Consistency failures always force an
-    /// immediate refactorization regardless of this interval. A test seam:
-    /// put_mip does not ship it and window_signature does not hash it, so
-    /// workers always run the default.
-    int refactor_interval = 0;
-    /// Bases with at most this many rows collapse the factorization into an
-    /// explicit dense B^-1 updated in place per pivot (contiguous rank-1
-    /// outer products; no eta chain to walk). Larger bases keep the sparse
-    /// eta file; 0 forces eta-file mode everywhere. A test seam like
-    /// refactor_interval: not shipped, not hashed, workers run the default.
-    int dense_inverse_dim = 256;
   };
 
   SimplexSolver() : opts_() {}
   explicit SimplexSolver(const Options& opts) : opts_(opts) {}
 
-  /// Cold solve: two-phase primal from the slack basis.
+  /// Cold solve: two-phase primal from the slack basis. kIterLimit, with
+  /// nothing allocated, for an LP of more than kMaxRows rows.
   Result solve(const Problem& p) const;
 
  private:
@@ -192,7 +190,8 @@ class IncrementalSimplex {
   /// Re-optimizes at the current bounds: dual simplex from the previous
   /// optimal basis when the basis is hot, full two-phase primal
   /// otherwise. A dual stall or a drifted solution triggers an automatic
-  /// cold restart, so results match a fresh solve.
+  /// cold restart, so results match a fresh solve. Like SimplexSolver,
+  /// returns kIterLimit for an LP of more than kMaxRows rows.
   Result solve();
 
   /// Discards the hot basis; the next solve is a cold start.

@@ -7,7 +7,7 @@
 /// iteration), prices Dantzig-style (largest reduced cost) and never
 /// factorizes. It shares nothing with the library's revised core beyond the
 /// Problem, Result and Options types, so a bug in the factorization, the
-/// eta updates or Devex pricing shows up as a disagreement in the fuzz
+/// inverse updates or Devex pricing shows up as a disagreement in the fuzz
 /// tests of tests/test_simplex.cpp. It lives in the openvm1_test_support
 /// library and only test binaries link it.
 #pragma once
@@ -17,9 +17,8 @@
 namespace vm1::lp::oracle {
 
 /// Cold two-phase solve of `p`. Honours opts.max_iterations, opts.tol and
-/// opts.pivot_tol; the revised-engine knobs (refactor_interval,
-/// dense_inverse_dim) and the time limit are ignored. Fills status,
-/// objective, x and iterations.
+/// opts.pivot_tol; the time limit and lp::kMaxRows do not apply. Fills
+/// status, objective, x and iterations.
 Result dense_solve(const Problem& p, const SimplexSolver::Options& opts = {});
 
 }  // namespace vm1::lp::oracle

@@ -155,6 +155,26 @@ TEST(BranchAndBound, NodeLimitReportsFeasible) {
   }
 }
 
+// The LP engine refuses a relaxation of more than lp::kMaxRows rows; the
+// search then ends as a truncation and keeps the incumbent it was handed.
+TEST(BranchAndBound, TooLargeModelEndsAsTruncation) {
+  Model m;
+  for (int i = 0; i <= lp::kMaxRows; ++i) {
+    const int b = m.add_binary(-1.0);
+    m.add_constraint({{b, 1.0}}, lp::Sense::kLe, 1);
+  }
+  MipResult r;
+  ASSERT_NO_THROW(r = BranchAndBound().solve(m));
+  EXPECT_EQ(r.status, MipStatus::kNoSolution);
+  EXPECT_TRUE(r.x.empty());
+  EXPECT_EQ(r.lp_iterations, 0);
+
+  std::vector<double> warm(m.num_variables(), 0.0);
+  ASSERT_NO_THROW(r = BranchAndBound().solve(m, nullptr, &warm));
+  EXPECT_EQ(r.status, MipStatus::kFeasible);
+  EXPECT_EQ(r.x, warm);
+}
+
 TEST(BranchAndBound, NanWarmStartIsRejected) {
   Model m;
   int a = m.add_binary(-1, "a");

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "lp/factor.h"
+#include "lp/revised.h"
 #include "obs/metrics.h"
 #include "support/dense_oracle.h"
 #include "util/rng.h"
@@ -326,8 +327,7 @@ INSTANTIATE_TEST_SUITE_P(RandomLp, SimplexIncremental,
 
 // ---- revised-vs-dense differential fuzz ----
 //
-// The revised engine — in both basis representations, sparse eta file and
-// collapsed explicit inverse — must agree with the dense-tableau oracle
+// The revised engine must agree with the dense-tableau oracle
 // (tests/support/dense_oracle.h: full tableau, Dantzig pricing, no
 // factorization) on status everywhere and on the objective wherever
 // optimality is proved. Instance modes cover the stress shapes of the
@@ -434,28 +434,19 @@ Problem random_fuzz_lp(Rng& rng) {
 class SimplexDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(SimplexDifferential, RevisedMatchesDenseOracle) {
-  SimplexSolver::Options eta_o;  // eta-file representation forced
-  eta_o.dense_inverse_dim = 0;
-  SimplexSolver revised;  // default: explicit inverse
-  SimplexSolver eta(eta_o);
+  SimplexSolver revised;
   for (int i = 0; i < kFuzzPerShard; ++i) {
     Rng rng(900000 + static_cast<std::uint64_t>(GetParam()) * kFuzzPerShard +
             static_cast<std::uint64_t>(i));
     Problem p = random_fuzz_lp(rng);
     Result rd = oracle::dense_solve(p);
     Result rr = revised.solve(p);
-    Result re = eta.solve(p);
     ASSERT_EQ(rr.status, rd.status)
-        << "shard " << GetParam() << " instance " << i;
-    ASSERT_EQ(re.status, rd.status)
         << "shard " << GetParam() << " instance " << i;
     if (rd.status == Status::kOptimal) {
       EXPECT_NEAR(rr.objective, rd.objective, 1e-6)
           << "shard " << GetParam() << " instance " << i;
-      EXPECT_NEAR(re.objective, rd.objective, 1e-6)
-          << "shard " << GetParam() << " instance " << i;
       EXPECT_LT(p.max_violation(rr.x), 1e-5);
-      EXPECT_LT(p.max_violation(re.x), 1e-5);
     }
   }
 }
@@ -464,21 +455,18 @@ INSTANTIATE_TEST_SUITE_P(Fuzz, SimplexDifferential,
                          ::testing::Range(0, kFuzzShards));
 
 // Warm re-solves after branching-style bound changes must agree with a
-// fresh oracle solve of the changed problem, in both basis representations,
-// and must actually run warm (dual simplex from the hot basis) — a warm
-// path that silently cold-restarts would pass the agreement checks alone.
+// fresh oracle solve of the changed problem, and must actually run warm
+// (dual simplex from the hot basis) — a warm path that silently
+// cold-restarts would pass the agreement checks alone.
 TEST(SimplexDifferentialWarm, WarmReoptimizeMatchesDenseOracle) {
-  SimplexSolver::Options eta_o;
-  eta_o.dense_inverse_dim = 0;
   int resolves = 0;
   int warm = 0;
   for (int i = 0; i < kFuzzAuxInstances; ++i) {
     Rng rng(770000 + i);
     Problem p = random_feasible_lp(rng);
-    IncrementalSimplex inv(p, {});
-    IncrementalSimplex eta(p, eta_o);
-    Result root = inv.solve();
-    ASSERT_EQ(eta.solve().status, root.status) << "instance " << i;
+    IncrementalSimplex inc(p, {});
+    Result root = inc.solve();
+    ASSERT_EQ(root.status, oracle::dense_solve(p).status) << "instance " << i;
     if (root.status != Status::kOptimal) continue;
 
     Problem q = p;
@@ -495,69 +483,164 @@ TEST(SimplexDifferentialWarm, WarmReoptimizeMatchesDenseOracle) {
       }
       if (lo > hi) continue;
       q.set_bounds(v, lo, hi);
-      inv.set_bounds(v, lo, hi);
-      eta.set_bounds(v, lo, hi);
+      inc.set_bounds(v, lo, hi);
     }
 
     Result fresh = oracle::dense_solve(q);
-    Result wi = inv.solve();
-    Result we = eta.solve();
-    resolves += 2;
-    warm += static_cast<int>(wi.warm_start_used) +
-            static_cast<int>(we.warm_start_used);
-    ASSERT_EQ(wi.status, fresh.status) << "instance " << i;
-    ASSERT_EQ(we.status, fresh.status) << "instance " << i;
+    Result w = inc.solve();
+    ++resolves;
+    warm += static_cast<int>(w.warm_start_used);
+    ASSERT_EQ(w.status, fresh.status) << "instance " << i;
     if (fresh.status == Status::kOptimal) {
-      EXPECT_NEAR(wi.objective, fresh.objective, 1e-6) << "instance " << i;
-      EXPECT_NEAR(we.objective, fresh.objective, 1e-6) << "instance " << i;
-      EXPECT_LT(q.max_violation(wi.x), 1e-5);
-      EXPECT_LT(q.max_violation(we.x), 1e-5);
+      EXPECT_NEAR(w.objective, fresh.objective, 1e-6) << "instance " << i;
+      EXPECT_LT(q.max_violation(w.x), 1e-5);
     }
   }
   ASSERT_GT(resolves, 0);
   EXPECT_GT(2 * warm, resolves) << warm << " of " << resolves << " warm";
 }
 
+/// Window-MILP-shaped LP relaxation: `cells` assignment rows (each cell
+/// picks one of `cands` candidates) plus 2 * cells random exclusivity rows
+/// over one candidate per cell, each capped at `excl_rhs`.
+Problem window_assignment_lp(int cells, int cands, double excl_rhs,
+                             std::uint64_t seed) {
+  Rng rng(seed);
+  Problem p;
+  std::vector<std::vector<int>> vars(cells);
+  for (int c = 0; c < cells; ++c) {
+    for (int k = 0; k < cands; ++k) {
+      vars[c].push_back(
+          p.add_variable(0, 1, static_cast<double>(rng.uniform(100))));
+    }
+  }
+  for (int c = 0; c < cells; ++c) {
+    std::vector<std::pair<int, double>> row;
+    for (int v : vars[c]) row.emplace_back(v, 1.0);
+    p.add_constraint(row, Sense::kEq, 1);
+  }
+  for (int r = 0; r < cells * 2; ++r) {
+    std::vector<std::pair<int, double>> row;
+    for (int c = 0; c < cells; ++c) {
+      row.emplace_back(vars[c][rng.uniform(cands)], 1.0);
+    }
+    p.add_constraint(row, Sense::kLe, excl_rhs);
+  }
+  return p;
+}
+
+// A basis of more than 256 rows, the size of the largest windows the flow
+// builds: the cold solve and warm re-solves after branching-style fixes
+// must agree with the oracle, and every re-solve must run warm. The
+// exclusivity cap (cells / 5) makes rows bind, so every solve pivots.
+TEST(SimplexDifferentialWarm, LargeWindowLpMatchesDenseOracle) {
+#ifdef VM1_EQUIV_LIGHT
+  constexpr int kFixes = 2;
+#else
+  constexpr int kFixes = 5;
+#endif
+  Problem p = window_assignment_lp(100, 6, 20, 42);
+  ASSERT_EQ(p.num_constraints(), 300);
+  IncrementalSimplex inc(p, {});
+  Result r = inc.solve();
+  Result fresh = oracle::dense_solve(p);
+  ASSERT_EQ(r.status, Status::kOptimal);
+  ASSERT_EQ(fresh.status, Status::kOptimal);
+  EXPECT_FALSE(r.warm_start_used);
+  EXPECT_NEAR(r.objective, fresh.objective, 1e-6);
+  EXPECT_LT(p.max_violation(r.x), 1e-5);
+
+  Problem q = p;
+  Rng rng(4343);
+  int dual_pivots = 0;
+  for (int fix = 0; fix < kFixes; ++fix) {
+    // Forbid a candidate the current optimum uses: its cell must move.
+    int v = -1;
+    while (v < 0) {
+      const int j = static_cast<int>(rng.uniform(q.num_variables()));
+      if (r.x[j] > 1e-6) v = j;
+    }
+    q.set_bounds(v, 0, 0);
+    inc.set_bounds(v, 0, 0);
+    r = inc.solve();
+    fresh = oracle::dense_solve(q);
+    ASSERT_EQ(r.status, fresh.status) << "fix " << fix;
+    ASSERT_EQ(r.status, Status::kOptimal) << "fix " << fix;
+    EXPECT_TRUE(r.warm_start_used) << "fix " << fix;
+    EXPECT_NEAR(r.objective, fresh.objective, 1e-6) << "fix " << fix;
+    EXPECT_LT(q.max_violation(r.x), 1e-5) << "fix " << fix;
+    dual_pivots += r.dual_iterations;
+  }
+  EXPECT_GT(dual_pivots, kFixes);
+}
+
 // ---- refactor policy ----
 
 TEST(SimplexRefactor, IntervalTriggersScheduledRefactorizations) {
   obs::Counter& refactors = obs::counter("lp.refactorizations");
-  Rng rng(42);
-  Problem p = random_feasible_lp(rng);
-
-  // interval 1: every pivot after the first forces a scheduled rebuild, in
-  // both basis representations.
-  for (int dense_dim : {0, 256}) {
-    SimplexSolver::Options o;
-    o.refactor_interval = 1;
-    o.dense_inverse_dim = dense_dim;
-    long before = refactors.value();
-    Result r = SimplexSolver(o).solve(p);
-    ASSERT_EQ(r.status, Status::kOptimal);
-    EXPECT_GE(refactors.value() - before, 1) << "dense_dim " << dense_dim;
-  }
 
   // Default policy: the diagonal cold-start basis is loaded, not
   // refactorized, and this solve is far shorter than the interval — the
   // counter must not move at all.
-  long before = refactors.value();
-  Result r = SimplexSolver().solve(p);
-  ASSERT_EQ(r.status, Status::kOptimal);
-  EXPECT_EQ(refactors.value() - before, 0);
+  {
+    Rng rng(42);
+    Problem p = random_feasible_lp(rng);
+    long before = refactors.value();
+    Result r = SimplexSolver().solve(p);
+    ASSERT_EQ(r.status, Status::kOptimal);
+    EXPECT_EQ(refactors.value() - before, 0);
+  }
+
+  // A warm bound walk keeps one basis hot, so its pivots add up as updates
+  // to one inverse. Nothing refactorizes before they reach the interval,
+  // and something does once the walk's dual pivots alone have reached it.
+  Problem p = window_assignment_lp(30, 8, 8, 7);
+  IncrementalSimplex inc(p, {});
+  const long before = refactors.value();
+  const Result root = inc.solve();
+  ASSERT_EQ(root.status, Status::kOptimal);
+  // The root's primal pivots update the inverse too: at most
+  // root.iterations of them, since bound flips do not.
+  Result r = root;
+  Rng rng(77);
+  int warm_updates = 0;
+  int fixed = -1;
+  for (int step = 0; warm_updates < detail::kRefactorInterval; ++step) {
+    ASSERT_LT(step, 20000) << "the walk stopped pivoting";
+    if (fixed >= 0) {
+      inc.set_bounds(fixed, 0, 1);
+      fixed = -1;
+    } else {
+      // Forbid a candidate the current optimum uses.
+      while (fixed < 0) {
+        const int j = static_cast<int>(rng.uniform(p.num_variables()));
+        if (r.x[j] > 1e-6) fixed = j;
+      }
+      inc.set_bounds(fixed, 0, 0);
+    }
+    r = inc.solve();
+    ASSERT_EQ(r.status, Status::kOptimal) << "step " << step;
+    ASSERT_TRUE(r.warm_start_used) << "step " << step;
+    warm_updates += r.dual_iterations;
+    if (root.iterations + warm_updates < detail::kRefactorInterval) {
+      ASSERT_EQ(refactors.value() - before, 0)
+          << "refactorized after at most " << root.iterations + warm_updates
+          << " updates, step " << step;
+    }
+  }
+  EXPECT_GE(refactors.value() - before, 1);
 }
 
-// With scheduled refactorization effectively disabled, correctness over a
-// long bound walk rests on the warm-entry recompute and the per-pivot
-// consistency (drift) check — exactly the safety net the eta file relies on.
+// A long bound walk on one hot basis applies thousands of product-form
+// updates to the inverse between refactorizations; correctness rests on the
+// warm-entry recompute of beta and zrow and on the per-pivot consistency
+// (drift) check. Every step must agree with a fresh solve.
 TEST(SimplexRefactor, LongEtaChainStaysConsistentUnderBoundWalk) {
-  SimplexSolver::Options o;
-  o.refactor_interval = 1 << 30;
-  o.dense_inverse_dim = 0;  // eta-file mode, chain never scheduled away
   Rng rng(4242);
   Problem p = random_feasible_lp(rng);
-  IncrementalSimplex inc(p, o);
+  IncrementalSimplex inc(p, {});
   Problem q = p;
-  ASSERT_EQ(inc.solve().status, SimplexSolver().solve(q).status);
+  ASSERT_EQ(inc.solve().status, oracle::dense_solve(q).status);
 
   std::vector<std::pair<double, double>> orig;
   for (int v = 0; v < p.num_variables(); ++v) {
@@ -577,12 +660,42 @@ TEST(SimplexRefactor, LongEtaChainStaysConsistentUnderBoundWalk) {
     inc.set_bounds(v, lo, hi);
     q.set_bounds(v, lo, hi);
     Result ri = inc.solve();
-    Result rf = SimplexSolver().solve(q);
+    Result rf = oracle::dense_solve(q);
     ASSERT_EQ(ri.status, rf.status) << "step " << step;
     if (rf.status == Status::kOptimal) {
       EXPECT_NEAR(ri.objective, rf.objective, 1e-6) << "step " << step;
     }
   }
+}
+
+// ---- size cap ----
+
+// An LP past kMaxRows would need more than 128 MiB of inverse per solve:
+// both entry points refuse it before allocating and count the refusal.
+TEST(SimplexLimits, TooLargeLpIsRefused) {
+  obs::Counter& too_large = obs::counter("lp.too_large");
+  Problem p;
+  for (int i = 0; i <= kMaxRows; ++i) {
+    const int v = p.add_variable(0, 1, -1.0);
+    p.add_constraint({{v, 1.0}}, Sense::kLe, 1);
+  }
+  ASSERT_EQ(p.num_constraints(), kMaxRows + 1);
+  const long before = too_large.value();
+  Result cold = SimplexSolver().solve(p);
+  EXPECT_EQ(cold.status, Status::kIterLimit);
+  EXPECT_EQ(cold.iterations, 0);
+  EXPECT_EQ(too_large.value() - before, 1);
+
+  IncrementalSimplex inc(p, {});
+  EXPECT_EQ(inc.solve().status, Status::kIterLimit);
+  EXPECT_EQ(inc.solve().status, Status::kIterLimit);
+  EXPECT_EQ(too_large.value() - before, 3);
+
+  // A small LP is not counted.
+  Rng rng(5);
+  EXPECT_EQ(SimplexSolver().solve(random_feasible_lp(rng)).status,
+            Status::kOptimal);
+  EXPECT_EQ(too_large.value() - before, 3);
 }
 
 // ---- EtaFactor unit ----
@@ -603,45 +716,49 @@ TEST(EtaFactorTest, FactorizeCollapseAndUpdateAgree) {
 
   detail::EtaFactor f;
   ASSERT_TRUE(f.factorize(cols, 1e-9));
+  EXPECT_TRUE(f.factorized());
   EXPECT_EQ(f.updates(), 0);
-  auto check_inverse = [&](const char* what) {
-    for (int k = 0; k < 3; ++k) {
-      double x[3] = {b[k][0], b[k][1], b[k][2]};
-      f.ftran(x);
-      for (int i = 0; i < 3; ++i) {
-        EXPECT_NEAR(x[i], i == f.slot_row()[k] ? 1.0 : 0.0, 1e-12)
-            << what << " col " << k << " row " << i;
-      }
-      // BTRAN: (B^-T e_s) . (B e_k) = [s == slot_row(k)].
-      double y[3] = {0, 0, 0};
-      y[f.slot_row()[k]] = 1.0;
-      f.btran(y);
-      for (int j = 0; j < 3; ++j) {
-        double dot = 0;
-        for (int i = 0; i < 3; ++i) dot += y[i] * b[j][i];
-        EXPECT_NEAR(dot, j == k ? 1.0 : 0.0, 1e-12) << what << " col " << k;
-      }
+  for (int k = 0; k < 3; ++k) {
+    double x[3] = {b[k][0], b[k][1], b[k][2]};
+    f.ftran(x);
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_NEAR(x[i], i == f.slot_row()[k] ? 1.0 : 0.0, 1e-12)
+          << "col " << k << " row " << i;
     }
-  };
-  check_inverse("eta");
-
-  f.collapse();  // same inverse, explicit representation
-  EXPECT_TRUE(f.dense_inverse());
-  EXPECT_EQ(f.updates(), 0);
-  check_inverse("collapsed");
+    // BTRAN: (B^-T e_s) . (B e_k) = [s == slot_row(k)].
+    double y[3] = {0, 0, 0};
+    y[f.slot_row()[k]] = 1.0;
+    f.btran(y);
+    for (int j = 0; j < 3; ++j) {
+      double dot = 0;
+      for (int i = 0; i < 3; ++i) dot += y[i] * b[j][i];
+      EXPECT_NEAR(dot, j == k ? 1.0 : 0.0, 1e-12) << "col " << k;
+    }
+  }
 
   // Product-form update: replace the basis column at pivot row r with
-  // c = (1,2,1); afterwards FTRAN(c) must be exactly e_r.
+  // c = (1,2,1), handing append() row r of the inverse as the engine does;
+  // afterwards FTRAN(c) must be exactly e_r.
   double alpha[3] = {1, 2, 1};
   f.ftran(alpha);
   const int r = f.slot_row()[2];
-  ASSERT_TRUE(f.append(r, alpha, 1e-9));
+  double rho[3] = {0, 0, 0};
+  rho[r] = 1.0;
+  f.btran(rho);
+  ASSERT_TRUE(f.append(r, alpha, rho, 1e-9));
   EXPECT_EQ(f.updates(), 1);
   double x[3] = {1, 2, 1};
   f.ftran(x);
   for (int i = 0; i < 3; ++i) {
     EXPECT_NEAR(x[i], i == r ? 1.0 : 0.0, 1e-12);
   }
+  // A pivot element below pivot_tol is refused, and nothing is applied.
+  double tiny[3] = {0, 0, 0};
+  EXPECT_FALSE(f.append(r, tiny, rho, 1e-9));
+  EXPECT_EQ(f.updates(), 1);
+  double again[3] = {1, 2, 1};
+  f.ftran(again);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(again[i], x[i]);
 }
 
 TEST(EtaFactorTest, SingularBasisRejected) {
@@ -657,21 +774,31 @@ TEST(EtaFactorTest, SingularBasisRejected) {
   EXPECT_FALSE(f.factorize(cols, 1e-9));
 }
 
+// The diagonal load gives the same inverse a factorization of the same
+// diagonal basis does.
 TEST(EtaFactorTest, DiagonalResetMatchesBothRepresentations) {
   const double diag[3] = {1.0, -1.0, 1.0};
-  for (bool dense : {false, true}) {
-    detail::EtaFactor f;
-    f.reset_diagonal(diag, 3, dense);
-    EXPECT_EQ(f.dense_inverse(), dense);
-    EXPECT_TRUE(f.factorized());
-    EXPECT_EQ(f.updates(), 0);
+  detail::EtaFactor loaded;
+  loaded.reset_diagonal(diag, 3);
+  detail::BasisColumns cols;
+  cols.clear();
+  for (int i = 0; i < 3; ++i) {
+    cols.push(i, diag[i]);
+    cols.close_column();
+  }
+  detail::EtaFactor factored;
+  ASSERT_TRUE(factored.factorize(cols, 1e-9));
+  for (detail::EtaFactor* f : {&loaded, &factored}) {
+    EXPECT_TRUE(f->factorized());
+    EXPECT_EQ(f->updates(), 0);
+    EXPECT_EQ(f->slot_row(), (std::vector<int>{0, 1, 2}));
     double x[3] = {3.0, 5.0, -2.0};
-    f.ftran(x);
+    f->ftran(x);
     EXPECT_NEAR(x[0], 3.0, 1e-12);
     EXPECT_NEAR(x[1], -5.0, 1e-12);
     EXPECT_NEAR(x[2], -2.0, 1e-12);
     double y[3] = {1.0, 1.0, 1.0};
-    f.btran(y);
+    f->btran(y);
     EXPECT_NEAR(y[1], -1.0, 1e-12);
   }
 }
