@@ -42,7 +42,7 @@ using vm1::JsonWriter;
 /// core/dist_opt.h) summed over one or more DistOpt passes, as a nested
 /// "window_outcomes" object — so bench JSON shows not just how fast the
 /// windows solved but how they terminated (fallbacks, audit rejections,
-/// faults, deadline cut-offs) across commits.
+/// faults, cancellations) across commits.
 inline void write_window_outcomes(
     JsonWriter& jw, std::initializer_list<const DistOptStats*> passes) {
   int windows = 0, solved = 0, fallback_rounding = 0, fallback_greedy = 0;
@@ -50,7 +50,6 @@ inline void write_window_outcomes(
   int cached_remote = 0;
   long faults_injected = 0, signature_hits = 0, signature_misses = 0;
   long cache_hits = 0, cache_stores = 0;
-  bool deadline_hit = false;
   for (const DistOptStats* s : passes) {
     windows += s->windows;
     solved += s->solved;
@@ -66,7 +65,6 @@ inline void write_window_outcomes(
     signature_misses += s->signature_misses;
     cache_hits += s->cache_hits;
     cache_stores += s->cache_stores;
-    deadline_hit = deadline_hit || s->deadline_hit;
   }
   jw.begin_object("window_outcomes");
   jw.field("windows", windows);
@@ -79,7 +77,6 @@ inline void write_window_outcomes(
   jw.field("skipped", skipped);
   jw.field("cached_remote", cached_remote);
   jw.field("faults_injected", faults_injected);
-  jw.field("deadline_hit", deadline_hit);
   // Incremental-engine accounting: signature hits either replayed a window
   // (counted in `skipped`) or short-circuited an empty build.
   jw.field("signature_hits", signature_hits);

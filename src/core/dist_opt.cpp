@@ -1,7 +1,5 @@
 #include "core/dist_opt.h"
 
-#include <algorithm>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -56,14 +54,6 @@ void DistOptOptions::validate() const {
     bad("displacement bounds lx/ly must be >= 0, got " + std::to_string(lx) +
         "/" + std::to_string(ly));
   }
-  if (time_budget_sec < 0) {
-    bad("time_budget_sec must be >= 0, got " +
-        std::to_string(time_budget_sec));
-  }
-  if (min_window_time_sec < 0) {
-    bad("min_window_time_sec must be >= 0, got " +
-        std::to_string(min_window_time_sec));
-  }
   if (!incremental && inc != nullptr) {
     bad("inc state given but incremental mode is disabled");
   }
@@ -105,7 +95,7 @@ struct Job {
   WindowSolveJob in;         ///< prepared inputs (core/window_solve.h)
   WindowSolveResult out;     ///< filled by whichever backend solved it
   bool ran = false;          ///< prepare invoked (pool cancel can skip it)
-  bool skipped = false;      ///< saw cancellation/deadline before solving
+  bool skipped = false;      ///< saw cancellation before solving
   // Incremental engine: signature computed in the parallel phase; on a
   // clean memo hit the entry is copied here (the table may rehash later)
   // and build/solve are skipped entirely.
@@ -171,28 +161,16 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
   const bool fleet = coord && opts.fleet_token != 0;
   if (coord && !fleet) coord->begin_pass(d);
 
-  // Pass-level cancellation token: set by the deadline, by an external
-  // opts.cancel, and observed by every window's branch-and-bound.
+  // Pass-level cancellation token: set once an external opts.cancel is
+  // seen, and observed by every window's branch-and-bound.
   std::atomic<bool> cancelled{false};
-  std::atomic<bool> deadline_fired{false};
 
-  // Count of windows not yet started, for the adaptive time split.
   long total_jobs = 0;
   for (const std::vector<int>& m : grid.movable) {
     if (!m.empty()) ++total_jobs;
   }
-  std::atomic<long> not_started{total_jobs};
   pass_span.arg("windows", total_jobs);
   obs::ProgressReporter progress("dist_opt", total_jobs);
-
-  const double inf = std::numeric_limits<double>::infinity();
-  auto budget_remaining = [&]() -> double {
-    return opts.time_budget_sec > 0 ? opts.time_budget_sec - timer.seconds()
-                                    : inf;
-  };
-  const unsigned workers =
-      coord ? std::max(1u, static_cast<unsigned>(coord->num_workers()))
-            : (pool ? std::max(1u, pool->size()) : 1u);
 
   for (const std::vector<int>& batch : batches) {
     std::vector<std::unique_ptr<Job>> jobs;
@@ -238,19 +216,13 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
       coord->lease(opts.fleet_token);
     }
 
-    // Shared per-window preparation: cancellation/deadline check, memo
-    // probe, and the adaptive time split — everything that must happen
-    // before the solve, identical for both backends. Returns false when
-    // the window is already settled (skipped or memo hit).
+    // Shared per-window preparation: cancellation check and memo probe —
+    // everything that must happen before the solve, identical for both
+    // backends. Returns false when the window is already settled (skipped
+    // or memo hit).
     auto prepare = [&](Job& job) -> bool {
       job.ran = true;
-      const long left = not_started.fetch_sub(1, std::memory_order_relaxed);
       if (opts.cancel && opts.cancel->load(std::memory_order_relaxed)) {
-        cancelled.store(true, std::memory_order_relaxed);
-      }
-      double remaining = budget_remaining();
-      if (remaining <= 0) {
-        deadline_fired.store(true, std::memory_order_relaxed);
         cancelled.store(true, std::memory_order_relaxed);
       }
       if (cancelled.load(std::memory_order_relaxed)) {
@@ -297,18 +269,6 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
           }
         }
       }
-      if (opts.time_budget_sec > 0) {
-        // Adaptive deadline split: share the remaining budget over the
-        // windows not yet started; `workers` of them run concurrently, so
-        // each may spend about remaining / ceil(left / workers).
-        double share = remaining * workers / std::max<long>(1, left);
-        share = std::max(share, opts.min_window_time_sec);
-        job.in.mip.time_limit_sec = std::min(job.in.mip.time_limit_sec, share);
-        if (job.in.mip.lp_options.time_limit_sec <= 0 ||
-            job.in.mip.lp_options.time_limit_sec > share) {
-          job.in.mip.lp_options.time_limit_sec = share;
-        }
-      }
       return true;
     };
 
@@ -326,7 +286,6 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
         rj.result = &job->out;
         rj.expected_sig = job->sig;
         rj.greedy_fallback = opts.greedy_fallback;
-        rj.sig_mip = opts.mip;
         remote.push_back(rj);
         dispatched.push_back(job.get());
       }
@@ -391,9 +350,8 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
       // Counts the placement delta (both modes, so vm1opt's zero-change
       // early exit is mode-independent), stamps dirty generations, and
       // memoizes the outcome when it is a pure function of the signature.
-      // Wall-clock-dependent results never enter the table: budgeted
-      // passes adapt per-window limits to the remaining time, and genuine
-      // (non-injected) failures may not reproduce.
+      // Genuine (non-injected) failures never enter the table: they may
+      // not reproduce.
       auto commit = [&](WindowOutcome o, double obj_delta,
                         std::vector<std::pair<int, Placement>> changed,
                         bool empty_build, bool memoizable) {
@@ -407,12 +365,9 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
           std::vector<int> insts;
           insts.reserve(changed.size());
           for (const auto& cp : changed) insts.push_back(cp.first);
-          stats.nets_dirtied += inc->mark_changed(insts, d.netlist());
+          inc->mark_changed(insts, d.netlist());
         }
-        if (!job->sig_valid || job->memo_hit || !memoizable ||
-            opts.time_budget_sec > 0) {
-          return;
-        }
+        if (!job->sig_valid || job->memo_hit || !memoizable) return;
         WindowMemo m;
         m.sig2 = job->sig.b;  // collision guard; persisted, unlike gen
         m.recorded_gen = inc->generation();
@@ -444,8 +399,8 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
         continue;
       }
       if (!job->ran || job->skipped) {
-        // Cancelled before solving (deadline or external token). Never
-        // memoized: where the cutoff lands is wall-clock-dependent.
+        // Cancelled before solving. Never memoized: where the cutoff lands
+        // is wall-clock-dependent.
         ++stats.windows;
         ++stats.kept;
         classify(WindowOutcome::kKept);
@@ -498,7 +453,7 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
             d.set_placement(inst, pl);
             insts.push_back(inst);
           }
-          stats.nets_dirtied += inc->mark_changed(insts, d.netlist());
+          inc->mark_changed(insts, d.netlist());
         }
         promote();
         continue;
@@ -657,7 +612,6 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
     memo_evict_metric.add(stats.memo_evictions);
   }
 
-  stats.deadline_hit = deadline_fired.load();
   stats.objective = evaluate_objective(d, opts.params).value;
   stats.seconds = timer.seconds();
   objective_metric.set(stats.objective);

@@ -13,8 +13,8 @@
 /// DESIGN.md "Window-solve guardrails": solver results are validated and
 /// audited before being applied, failed windows degrade through a fallback
 /// cascade (MILP -> standalone LP rounding -> window-scoped greedy -> keep
-/// current), and an optional pass-level wall-clock budget adapts per-window
-/// time limits and cancels the batch cleanly when exhausted.
+/// current), and an optional external cancellation token stops the pass at
+/// the next window boundary, classifying the windows it never started kKept.
 #pragma once
 
 #include <atomic>
@@ -40,7 +40,7 @@ enum class WindowOutcome {
   kFallbackRounding,  ///< MILP failed; rounded root-LP solution applied
   kFallbackGreedy,    ///< MILP+rounding failed; greedy moves applied
   kRejectedAudit,     ///< solution failed the legality audit; rolled back
-  kKept,              ///< nothing applied (no fallback fired, or deadline)
+  kKept,              ///< nothing applied (no fallback fired, or cancelled)
   kFaulted,           ///< build/solve/apply threw; window left untouched
   kSkipped,           ///< clean signature hit; memoized result replayed
   kCachedRemote,      ///< clean solve served by a cache tier (no MILP ran)
@@ -92,24 +92,16 @@ struct DistOptOptions {
   bool allow_move = true;  ///< f=0 pass: perturb positions
   bool allow_flip = true;  ///< f=1 pass: flip orientations
   VM1Params params;
+  /// Solver limits of every window in the pass (each window's
+  /// WindowSolveJob::mip is exactly this).
   milp::BranchAndBound::Options mip;
-
-  /// Wall-clock budget for the whole pass; 0 = unlimited. When set, each
-  /// window's MIP time limit shrinks adaptively (remaining budget spread
-  /// over the windows not yet started, scaled by the worker count) and the
-  /// pass cancels cleanly once the budget is gone — remaining windows are
-  /// classified kKept. Budgeted passes trade bitwise determinism across
-  /// machines/thread counts for a bounded runtime.
-  double time_budget_sec = 0;
-  /// Floor of the adaptive per-window time limit, so late windows still get
-  /// a useful (truncated, warm-started) solve instead of a guaranteed miss.
-  double min_window_time_sec = 0.05;
   /// Fallback cascade kill switches (both on in production; tests disable
   /// one to pin down the other's behaviour).
   bool rounding_fallback = true;
   bool greedy_fallback = true;
   /// Optional external cancellation token: set it from another thread to
-  /// stop the pass at the next window boundary (same path as the deadline).
+  /// stop the pass at the next window boundary; windows not yet started
+  /// are classified kKept.
   const std::atomic<bool>* cancel = nullptr;
   /// Incremental re-solve engine (see core/incremental.h). When `inc` is
   /// non-null and `incremental` is true, windows whose canonical signature
@@ -139,7 +131,7 @@ struct DistOptOptions {
   BatchThrottle* throttle = nullptr;
 
   /// Throws std::invalid_argument on out-of-range fields (non-positive
-  /// bw/bh, negative lx/ly or budgets, invalid `mip`, backend/coordinator
+  /// bw/bh, negative lx/ly, invalid `mip`, backend/coordinator
   /// mismatch). dist_opt() validates on entry.
   void validate() const;
 };
@@ -167,11 +159,9 @@ struct DistOptStats {
   int skipped = 0;           ///< kSkipped (memoized replay; no MILP built)
   int cached_remote = 0;     ///< kCachedRemote (cache tier served the solve)
   long faults_injected = 0;  ///< fault-injection firings observed (VM1_FAULTS)
-  bool deadline_hit = false; ///< pass was cut off by time_budget_sec
   // Incremental-engine observability (zero when no IncrementalState given).
   long signature_hits = 0;   ///< memo lookups that skipped a window
   long signature_misses = 0; ///< memo lookups that had to solve
-  long nets_dirtied = 0;     ///< net generation stamps from applied windows
   // Solve-cache observability (zero when no CacheBackend is attached).
   long cache_hits = 0;       ///< tier-2 backend hits replayed without solving
   long cache_stores = 0;     ///< memoized solves written through to tier 2

@@ -17,21 +17,14 @@ void IncrementalState::bind(const Design& d) {
   }
 }
 
-long IncrementalState::mark_changed(const std::vector<int>& insts,
+void IncrementalState::mark_changed(const std::vector<int>& insts,
                                     const Netlist& nl) {
-  if (insts.empty()) return 0;
+  if (insts.empty()) return;
   ++gen_;
-  long nets_stamped = 0;
   for (int i : insts) {
     cell_gen_[i] = gen_;
-    for (int n : nl.nets_of(i)) {
-      if (net_gen_[n] != gen_) {
-        net_gen_[n] = gen_;
-        ++nets_stamped;
-      }
-    }
+    for (int n : nl.nets_of(i)) net_gen_[n] = gen_;
   }
-  return nets_stamped;
 }
 
 bool IncrementalState::clean_since(const std::vector<int>& cells,
@@ -71,23 +64,17 @@ void IncrementalState::store(const WindowSig& sig, WindowMemo memo) {
     memo_fifo_.push_back(sig.a);
     memo_.emplace(sig.a, std::move(memo));
   }
-  while ((memo_.size() > max_memo_entries_ ||
-          memo_bytes_ > max_memo_bytes_) &&
-         !memo_fifo_.empty()) {
-    std::uint64_t victim = memo_fifo_.front();
-    memo_fifo_.pop_front();
-    auto vit = memo_.find(victim);
-    if (vit == memo_.end()) continue;
-    memo_bytes_ -= memo_cost(vit->second);
-    memo_.erase(vit);
-    ++memo_evictions_;
-  }
+  evict_to_limits();
 }
 
 void IncrementalState::set_memo_limits(std::size_t max_entries,
                                        std::size_t max_bytes) {
   max_memo_entries_ = max_entries == 0 ? 1 : max_entries;
   max_memo_bytes_ = max_bytes == 0 ? 1 : max_bytes;
+  evict_to_limits();
+}
+
+void IncrementalState::evict_to_limits() {
   while ((memo_.size() > max_memo_entries_ ||
           memo_bytes_ > max_memo_bytes_) &&
          !memo_fifo_.empty()) {

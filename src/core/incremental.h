@@ -28,8 +28,8 @@
 /// the recorded delta is replayed without building the MILP, which is
 /// bit-identical to re-solving because the whole window pipeline is a
 /// deterministic function of the signed inputs (see DESIGN.md
-/// "Incremental re-solve & memoization" for the caveats around wall-clock
-/// truncated solves, which are excluded from memoization).
+/// "Incremental re-solve & memoization" for the caveat around solves that
+/// a wall-clock limit in the MIP options truncated).
 #pragma once
 
 #include <cstdint>
@@ -107,8 +107,8 @@ class IncrementalState {
   std::uint64_t generation() const { return gen_; }
 
   /// Bumps the generation and stamps `insts` and every net incident to
-  /// them. Returns the number of distinct nets stamped.
-  long mark_changed(const std::vector<int>& insts, const Netlist& nl);
+  /// them.
+  void mark_changed(const std::vector<int>& insts, const Netlist& nl);
 
   /// True iff no cell in `cells` and no net in `nets` was stamped after
   /// generation `gen`.
@@ -143,6 +143,8 @@ class IncrementalState {
 
  private:
   static std::size_t memo_cost(const WindowMemo& m);
+  /// Evicts oldest-inserted entries until both caps hold.
+  void evict_to_limits();
 
   std::size_t max_memo_entries_ = 1u << 20;
   std::size_t max_memo_bytes_ = 256u << 20;

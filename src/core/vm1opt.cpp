@@ -94,7 +94,6 @@ VM1OptStats vm1opt(Design& d, const VM1OptOptions& opts) {
     stats.skipped += s.skipped;
     stats.cached_remote += s.cached_remote;
     stats.faults_injected += s.faults_injected;
-    stats.deadline_hit = stats.deadline_hit || s.deadline_hit;
     stats.signature_hits += s.signature_hits;
     stats.signature_misses += s.signature_misses;
     stats.cells_changed += s.cells_changed;
@@ -127,7 +126,6 @@ VM1OptStats vm1opt(Design& d, const VM1OptOptions& opts) {
       move_pass.allow_flip = false;
       move_pass.params = opts.params;
       move_pass.mip = opts.mip;
-      move_pass.time_budget_sec = opts.pass_time_budget_sec;
       move_pass.cancel = opts.cancel;
       move_pass.incremental = opts.incremental;
       move_pass.inc = opts.incremental ? &inc_state : nullptr;

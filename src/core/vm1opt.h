@@ -79,10 +79,6 @@ struct VM1OptOptions {
   /// backend must outlive the run and be thread-safe.
   CacheBackend* cache = nullptr;
   milp::BranchAndBound::Options mip = default_mip();
-  /// Per-DistOpt-pass wall-clock budget forwarded to
-  /// DistOptOptions::time_budget_sec (0 = unlimited). See DESIGN.md
-  /// "Window-solve guardrails".
-  double pass_time_budget_sec = 0;
   /// Optional external cancellation token, checked between windows and
   /// between passes; the optimizer stops cleanly with coherent stats.
   const std::atomic<bool>* cancel = nullptr;
@@ -119,7 +115,6 @@ struct VM1OptStats {
   long skipped = 0;          ///< kSkipped: memoized replays (no MILP built)
   long cached_remote = 0;    ///< kCachedRemote: cache tier served the solve
   long faults_injected = 0;  ///< VM1_FAULTS firings observed across passes
-  bool deadline_hit = false; ///< any pass cut off by its time budget
   // Incremental-engine observability, aggregated over every pass.
   long signature_hits = 0;
   long signature_misses = 0;

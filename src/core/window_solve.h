@@ -24,8 +24,8 @@
 
 namespace vm1 {
 
-/// Inputs of one window solve, fully prepared by the caller: `mip` carries
-/// the final (deadline-adjusted) solver limits, so the solve itself is a
+/// Inputs of one window solve, fully prepared by the caller: `mip` is the
+/// pass's solver limits (DistOptOptions::mip), so the solve itself is a
 /// pure function of this struct + the design + the fault config.
 struct WindowSolveJob {
   int widx = -1;            ///< window index within the pass (telemetry)

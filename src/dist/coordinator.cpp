@@ -30,9 +30,21 @@ namespace {
 constexpr int kMaxConsecutiveSpawnFailures = 3;
 /// Remote attempts per window before the local fallback.
 constexpr int kMaxAttempts = 2;
+/// Per-batch remote retry budget: max(kMinRetryBudget,
+/// ceil(kRetryBudgetFactor * jobs)). Once spent, further failures go
+/// straight to the local fallback instead of re-queueing.
+constexpr double kRetryBudgetFactor = 0.5;
+constexpr long kMinRetryBudget = 4;
+/// Idle workers silent this long get a kPing.
+constexpr double kHeartbeatIntervalSec = 2.0;
 /// Failure-score thresholds for the health state machine.
 constexpr double kSuspectScore = 1.0;
 constexpr double kQuarantineScore = 3.0;
+/// Cap on one quarantine episode (the first lasts quarantine_base_sec and
+/// each later one doubles it).
+constexpr double kQuarantineMaxSec = 30.0;
+/// Quarantine episodes before a slot is retired (fleet shrink).
+constexpr int kMaxQuarantineEpisodes = 4;
 
 std::string resolve_worker_path(const std::string& configured) {
   if (!configured.empty()) return configured;
@@ -106,18 +118,14 @@ void CoordinatorOptions::validate() const {
   if (tcp_port < 0 || tcp_port > 65535) {
     bad("tcp_port must be in [0, 65535], got " + std::to_string(tcp_port));
   }
-  if (heartbeat_interval_sec <= 0 || heartbeat_timeout_sec <= 0) {
-    bad("heartbeat intervals must be > 0");
+  if (heartbeat_timeout_sec <= 0) {
+    bad("heartbeat_timeout_sec must be > 0, got " +
+        std::to_string(heartbeat_timeout_sec));
   }
-  if (quarantine_base_sec <= 0 || quarantine_max_sec < quarantine_base_sec) {
-    bad("quarantine durations must satisfy 0 < base <= max");
-  }
-  if (max_quarantine_episodes < 1) {
-    bad("max_quarantine_episodes must be >= 1, got " +
-        std::to_string(max_quarantine_episodes));
-  }
-  if (retry_budget_factor < 0 || min_retry_budget < 0) {
-    bad("retry budget must be non-negative");
+  if (quarantine_base_sec <= 0 || quarantine_base_sec > kQuarantineMaxSec) {
+    bad("quarantine_base_sec must be in (0, " +
+        std::to_string(kQuarantineMaxSec) + "], got " +
+        std::to_string(quarantine_base_sec));
   }
   if (coalesce < 1 || coalesce > 1024) {
     bad("coalesce must be in [1, 1024], got " + std::to_string(coalesce));
@@ -241,10 +249,9 @@ void Coordinator::note_failure(Slot& slot) {
   if (slot.health == WorkerHealth::kRetired) return;
   if (slot.failure_score >= kQuarantineScore) {
     ++slot.quarantine_episodes;
-    if (slot.quarantine_episodes > opts_.max_quarantine_episodes) {
+    if (slot.quarantine_episodes > kMaxQuarantineEpisodes) {
       slot.health = WorkerHealth::kRetired;
-      log_warn("dist: worker slot retired after ",
-               opts_.max_quarantine_episodes,
+      log_warn("dist: worker slot retired after ", kMaxQuarantineEpisodes,
                " quarantine episodes; fleet shrinks to ", alive_workers(),
                " live workers");
     } else {
@@ -253,12 +260,12 @@ void Coordinator::note_failure(Slot& slot) {
       double dur = opts_.quarantine_base_sec *
                    static_cast<double>(1 << std::min(
                        slot.quarantine_episodes - 1, 20));
-      dur = std::min(dur, opts_.quarantine_max_sec);
+      dur = std::min(dur, kQuarantineMaxSec);
       slot.health = WorkerHealth::kQuarantined;
       slot.quarantined_until = clock_.seconds() + dur;
       slot.failure_score = 0;
       log_warn("dist: worker slot quarantined for ", dur, "s (episode ",
-               slot.quarantine_episodes, "/", opts_.max_quarantine_episodes,
+               slot.quarantine_episodes, "/", kMaxQuarantineEpisodes,
                ")");
     }
   } else if (slot.health == WorkerHealth::kHealthy) {
@@ -481,7 +488,7 @@ void Coordinator::begin_pass(const Design& d) {
   // Catch silently-dead peers before the pass dispatches to them.
   const double now = clock_.seconds();
   for (const Slot& s : slots_) {
-    if (s.alive && now - s.last_activity >= opts_.heartbeat_interval_sec) {
+    if (s.alive && now - s.last_activity >= kHeartbeatIntervalSec) {
       heartbeat(opts_.heartbeat_timeout_sec);
       break;
     }
@@ -678,9 +685,9 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
   // Retry budget: a storm of failures must not turn into quadratic
   // re-dispatching — once the batch's budget is spent, further failures
   // skip the queue and go straight to the guaranteed local path.
-  long retry_budget = std::max<long>(
-      opts_.min_retry_budget,
-      static_cast<long>(std::ceil(opts_.retry_budget_factor *
+  long retry_budget = std::max(
+      kMinRetryBudget,
+      static_cast<long>(std::ceil(kRetryBudgetFactor *
                                   static_cast<double>(jobs.size()))));
 
   auto fail_attempt = [&](Pending* p) {
@@ -787,7 +794,6 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
         rq.req_id = ++seq_;
         rq.job = *p->rj->job;
         rq.greedy_fallback = p->rj->greedy_fallback;
-        rq.sig_mip = p->rj->sig_mip;
         rq.faults = fault::config();
         rq.expected_sig = p->rj->expected_sig;
         time_limits += p->rj->job->mip.time_limit_sec;
@@ -886,7 +892,7 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
         if (!slot.alive || !slot.inflight.empty() || slot.ping_outstanding) {
           continue;
         }
-        if (now - slot.last_activity >= opts_.heartbeat_interval_sec) {
+        if (now - slot.last_activity >= kHeartbeatIntervalSec) {
           send_ping(slot);
         }
       }

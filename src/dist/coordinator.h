@@ -55,8 +55,8 @@ enum class TransportKind { kSocketpair, kTcp };
 /// Worker slot health, walked by the failure-score supervisor. A failure
 /// (death, timeout, corrupt stream, missed heartbeat, connect error) adds
 /// one point; every success halves the score. One point makes a slot
-/// suspect, three quarantine it (duration doubling per episode), and
-/// flapping past `max_quarantine_episodes` retires it for good.
+/// suspect, three quarantine it (duration doubling per episode up to a
+/// 30 s cap), and flapping past four episodes retires it for good.
 enum class WorkerHealth { kHealthy, kSuspect, kQuarantined, kRetired };
 
 const char* to_string(WorkerHealth h);
@@ -84,22 +84,13 @@ struct CoordinatorOptions {
   /// out-of-band.
   bool tcp_self_spawn = true;
 
-  /// Idle workers silent this long get a kPing.
-  double heartbeat_interval_sec = 2.0;
-  /// A pinged worker that stays silent this long is presumed dead.
+  /// A pinged worker that stays silent this long is presumed dead. (Idle
+  /// workers are pinged after 2 s of silence.)
   double heartbeat_timeout_sec = 5.0;
 
-  /// First quarantine episode length; doubles per episode up to the cap.
+  /// First quarantine episode length, in (0, 30]; doubles per episode up
+  /// to a 30 s cap.
   double quarantine_base_sec = 0.5;
-  double quarantine_max_sec = 30.0;
-  /// Quarantine episodes before a slot is retired (fleet shrink).
-  int max_quarantine_episodes = 4;
-
-  /// Per-batch remote retry budget: max(min_retry_budget,
-  /// ceil(retry_budget_factor * jobs)). Once spent, further failures go
-  /// straight to the local fallback instead of re-queueing.
-  double retry_budget_factor = 0.5;
-  int min_retry_budget = 4;
 
   /// Cache-aware dispatch (src/cache). When enabled, solve_batch opens
   /// with one batched kCacheQuery per live worker probing every queued
@@ -125,11 +116,9 @@ struct RemoteJob {
   /// with the request so the worker can prove its replica agrees
   /// (mismatch -> kDesync -> rebind + retry).
   WindowSig expected_sig;
-  /// The two signature inputs that differ from `job`: the signature hashes
-  /// the pass-level MIP options, not the deadline-adjusted ones in
-  /// job.mip, and the greedy-fallback flag the worker never runs.
+  /// The one signature input `job` does not carry: the greedy-fallback
+  /// flag, which the worker never runs.
   bool greedy_fallback = true;
-  milp::BranchAndBound::Options sig_mip;
   /// Output: a cache tier served this window without running the MILP —
   /// either a kCacheQuery probe hit or a worker-side memo hit tagged in
   /// the kReplyBatch entry. dist_opt classifies such windows kCachedRemote.
@@ -145,8 +134,6 @@ class Coordinator {
   ~Coordinator();
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
-
-  int num_workers() const { return opts_.num_workers; }
 
   /// Eagerly establishes connections for every connectable slot (normally
   /// they come up lazily at first dispatch). Returns the live count.

@@ -419,7 +419,6 @@ std::vector<std::uint8_t> encode_request(const WireRequest& rq) {
   w.boolean(rq.greedy_fallback);
   put_params(w, rq.job.params);
   put_mip(w, rq.job.mip);
-  put_mip(w, rq.sig_mip);
   put_faults(w, rq.faults);
   w.u64(rq.expected_sig.a);
   w.u64(rq.expected_sig.b);
@@ -447,7 +446,6 @@ WireRequest decode_request(const std::vector<std::uint8_t>& payload) {
   rq.greedy_fallback = r.boolean();
   rq.job.params = get_params(r);
   rq.job.mip = get_mip(r);
-  rq.sig_mip = get_mip(r);
   rq.faults = get_faults(r);
   rq.expected_sig.a = r.u64();
   rq.expected_sig.b = r.u64();

@@ -44,7 +44,9 @@ namespace vm1::dist {
 inline constexpr std::uint32_t kMagic = 0x564D3144u;  // "VM1D"
 /// v2: kHello gained the optional auth tag (TCP attach handshake), and the
 /// kChallenge/kPing/kPong supervision messages were added.
-inline constexpr std::uint16_t kWireVersion = 2;
+/// v3: a kRequestBatch entry carries one MIP options block (the request's
+/// own `job.mip`, which the worker also signs) instead of two.
+inline constexpr std::uint16_t kWireVersion = 3;
 /// Upper bound on a frame payload; larger lengths are treated as stream
 /// corruption (the full aes design snapshot is ~2 MB).
 inline constexpr std::uint32_t kMaxPayload = 1u << 30;
@@ -212,17 +214,14 @@ struct WireChallenge {
   std::vector<std::uint8_t> nonce;
 };
 
-/// One window subproblem, embedded in a WireRequestBatch. `job` carries
-/// the final (deadline-adjusted) solver limits actually used; `sig_mip` is
-/// the pass's unadjusted MIP options, which — together with
-/// `greedy_fallback` and `faults` — the worker needs to recompute the
-/// canonical window signature for the replica-consistency check against
-/// `expected_sig`.
+/// One window subproblem, embedded in a WireRequestBatch. `job` — together
+/// with `greedy_fallback` and `faults` — is everything the worker needs to
+/// solve the window and to recompute its canonical window signature for
+/// the replica-consistency check against `expected_sig`.
 struct WireRequest {
   std::uint64_t req_id = 0;
   WindowSolveJob job;
   bool greedy_fallback = true;
-  milp::BranchAndBound::Options sig_mip;
   fault::Config faults;
   WindowSig expected_sig;
 };

@@ -111,21 +111,6 @@ class MemoTier {
   std::size_t bytes_ = 0;
 };
 
-/// True iff the request's solve limits equal the pass's signature limits —
-/// i.e. no deadline adjustment truncated this solve. Only such results are
-/// memoizable: the signature hashes sig_mip, so a memo hit must replay a
-/// solve that actually ran under those limits.
-bool mip_matches_sig(const milp::BranchAndBound::Options& a,
-                     const milp::BranchAndBound::Options& b) {
-  return a.max_nodes == b.max_nodes && a.time_limit_sec == b.time_limit_sec &&
-         a.int_tol == b.int_tol && a.gap_tol == b.gap_tol &&
-         a.use_warm_start == b.use_warm_start &&
-         a.lp_options.max_iterations == b.lp_options.max_iterations &&
-         a.lp_options.time_limit_sec == b.lp_options.time_limit_sec &&
-         a.lp_options.tol == b.lp_options.tol &&
-         a.lp_options.pivot_tol == b.lp_options.pivot_tol;
-}
-
 /// Validates, signature-checks, and solves (or memo-serves) one request of
 /// a batch, returning its reply-batch entry: a reply (tagged `cached` when
 /// the memo tier served it) or a typed error. Returns nullopt when the
@@ -188,7 +173,7 @@ std::optional<WireBatchEntry> process_request(const Design* design,
   sig_opts.rounding_fallback = rq.job.rounding_fallback;
   sig_opts.greedy_fallback = rq.greedy_fallback;
   sig_opts.params = rq.job.params;
-  sig_opts.mip = rq.sig_mip;
+  sig_opts.mip = rq.job.mip;
   WindowSig sig =
       window_signature(*design, rq.job.window, rq.job.movable,
                        incident_nets_of(*design, rq.job.movable), sig_opts);
@@ -200,22 +185,17 @@ std::optional<WireBatchEntry> process_request(const Design* design,
   }
 
   out.reply.req_id = rq.req_id;
-  // Memo probe rides on the signature just verified. Only exact-limit
-  // solves are served: a deadline-adjusted request (job.mip != sig_mip)
-  // must really run under its truncated limits.
-  const bool exact_limits = mip_matches_sig(rq.job.mip, rq.sig_mip);
-  if (exact_limits) {
-    if (const WindowSolveResult* hit = memo.lookup(sig)) {
-      memo_hits_metric.add();
-      span.arg("outcome", "memo_hit");
-      out.cached = true;
-      out.reply.result = *hit;
-    }
-  }
-  if (!out.cached) {
+  // Memo probe rides on the signature just verified, which covers every
+  // solve input including the request's solver limits.
+  if (const WindowSolveResult* hit = memo.lookup(sig)) {
+    memo_hits_metric.add();
+    span.arg("outcome", "memo_hit");
+    out.cached = true;
+    out.reply.result = *hit;
+  } else {
     obs::ScopedTimer t(solve_sec_metric);
     out.reply.result = solve_window(*design, rq.job, /*cancel=*/nullptr);
-    if (exact_limits && !out.reply.result.failed) {
+    if (!out.reply.result.failed) {
       memo.store(sig, out.reply.result);
       memo_stores_metric.add();
     }

@@ -2,8 +2,6 @@
 
 #include <fstream>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace vm1 {
 
@@ -58,72 +56,6 @@ bool write_def_file(const std::string& path, const Design& d) {
   if (!out) return false;
   out << write_def(d);
   return static_cast<bool>(out);
-}
-
-std::vector<std::string> read_def_placement(const std::string& text,
-                                            Design& d) {
-  std::vector<std::string> problems;
-  const Netlist& nl = d.netlist();
-  std::unordered_map<std::string, int> by_name;
-  for (int i = 0; i < nl.num_instances(); ++i) {
-    by_name[nl.instance(i).name] = i;
-  }
-
-  std::istringstream in(text);
-  std::string line;
-  bool in_components = false;
-  std::unordered_set<std::string> seen;
-  while (std::getline(in, line)) {
-    std::istringstream ls(line);
-    std::string tok;
-    ls >> tok;
-    if (tok == "COMPONENTS") {
-      in_components = true;
-      continue;
-    }
-    if (tok == "END") {
-      std::string what;
-      ls >> what;
-      if (what == "COMPONENTS") in_components = false;
-      continue;
-    }
-    if (!in_components || tok != "-") continue;
-    std::string name, master, plus, placed, open;
-    int x = 0, row = 0;
-    std::string close, orient;
-    ls >> name >> master >> plus >> placed >> open >> x >> row >> close >>
-        orient;
-    auto it = by_name.find(name);
-    if (it == by_name.end()) {
-      problems.push_back("unknown instance " + name);
-      continue;
-    }
-    if (!seen.insert(name).second) {
-      problems.push_back("duplicate component " + name);
-      continue;  // the first record wins; never silently overwrite
-    }
-    // Reject placements outside the restoring design's DIEAREA: the DEF may
-    // come from a different floorplan, and applying an out-of-core
-    // placement would silently corrupt downstream window/route state.
-    int width = nl.cell_of(it->second).width_sites;
-    if (x < 0 || row < 0 || row >= d.num_rows() ||
-        x + width > d.sites_per_row()) {
-      problems.push_back("placement outside DIEAREA for " + name + " (" +
-                         std::to_string(x) + ", " + std::to_string(row) + ")");
-      continue;
-    }
-    d.set_placement(it->second, Placement{x, row, orient == "FS"});
-  }
-  return problems;
-}
-
-std::vector<std::string> read_def_placement_file(const std::string& path,
-                                                 Design& d) {
-  std::ifstream in(path);
-  if (!in) return {"cannot open " + path};
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return read_def_placement(ss.str(), d);
 }
 
 }  // namespace vm1

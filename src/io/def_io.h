@@ -1,14 +1,10 @@
 /// \file def_io.h
-/// DEF-like design save/restore.
+/// DEF-like design writer.
 ///
 /// The writer emits a DEF-flavoured text file with DIEAREA, COMPONENTS
 /// (name, master, x, row, orientation), PINS, and NETS (full connectivity),
 /// so a dump is a *complete* netlist snapshot: def_reader.h turns one back
 /// into a standalone Design given the matching LEF library.
-///
-/// The reader in this header is the lighter checkpoint path: it restores
-/// only the *placement* into an existing Design whose netlist matches by
-/// instance name — the use case is checkpointing a flow between stages.
 #pragma once
 
 #include <string>
@@ -20,18 +16,5 @@ namespace vm1 {
 /// Renders the design's floorplan + placement + connectivity.
 std::string write_def(const Design& d);
 bool write_def_file(const std::string& path, const Design& d);
-
-/// Applies the placements recorded in DEF-like text to `d`. Instances are
-/// matched by name. Every rejected record is reported in the returned list
-/// (empty = clean load):
-///  * unknown instance names;
-///  * duplicate COMPONENT entries (the first wins; later ones are rejected
-///    rather than silently overwriting);
-///  * placements outside the design's DIEAREA (x/row out of the core, or a
-///    cell overhanging the row end) are rejected rather than applied.
-std::vector<std::string> read_def_placement(const std::string& text,
-                                            Design& d);
-std::vector<std::string> read_def_placement_file(const std::string& path,
-                                                 Design& d);
 
 }  // namespace vm1

@@ -1,8 +1,7 @@
 #include "io/def_reader.h"
 
+#include <climits>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <unordered_map>
 #include <vector>
 
@@ -29,7 +28,9 @@ bool parse_long(const std::string& s, long* out) {
 struct ParsedComponent {
   std::string name;
   int cell = -1;
-  Placement place;
+  long x = 0, row = 0;  ///< as read; checked against the final site grid
+  bool flipped = false;
+  int line = 0;
 };
 
 struct ParsedIo {
@@ -115,16 +116,16 @@ bool parse_components(TokenCursor& cur, const Library& lib, DefParse* p,
         !expect(cur, "master name", &master, err)) {
       return false;
     }
-    int line = cur.line();
+    c.line = cur.line();
     c.cell = lib.find(master);
     if (c.cell < 0) {
-      return fail(err, IoErrorKind::kUnknownMaster, line,
+      return fail(err, IoErrorKind::kUnknownMaster, c.line,
                   "component " + c.name + " references master " + master);
     }
     if (!p->comp_by_name
              .emplace(c.name, static_cast<int>(p->comps.size()))
              .second) {
-      return fail(err, IoErrorKind::kDuplicateComponent, line,
+      return fail(err, IoErrorKind::kDuplicateComponent, c.line,
                   "component " + c.name + " declared twice");
     }
     // "+ PLACED ( x row ) N|FS" — also accept UNPLACED components.
@@ -133,24 +134,15 @@ bool parse_components(TokenCursor& cur, const Library& lib, DefParse* p,
     std::string kind;
     if (!expect(cur, "placement status", &kind, err)) return false;
     if (kind == "PLACED" || kind == "FIXED") {
-      long x = 0, row = 0;
+      std::string orient;
       if (!expect_token(cur, "(", err) ||
-          !expect_long(cur, "component x", &x, err) ||
-          !expect_long(cur, "component row", &row, err) ||
-          !expect_token(cur, ")", err)) {
+          !expect_long(cur, "component x", &c.x, err) ||
+          !expect_long(cur, "component row", &c.row, err) ||
+          !expect_token(cur, ")", err) ||
+          !expect(cur, "orientation", &orient, err)) {
         return false;
       }
-      std::string orient;
-      if (!expect(cur, "orientation", &orient, err)) return false;
-      long width = lib.cell(c.cell).width_sites;
-      if (x < 0 || row < 0 || (p->rows > 0 && row >= p->rows) ||
-          (p->sites > 0 && x + width > p->sites)) {
-        return fail(err, IoErrorKind::kOutsideDieArea, line,
-                    "component " + c.name + " at (" + std::to_string(x) +
-                        ", " + std::to_string(row) + ") outside DIEAREA");
-      }
-      c.place = Placement{static_cast<int>(x), static_cast<int>(row),
-                          orient == "FS"};
+      c.flipped = orient == "FS";
     }
     if (!expect_token(cur, ";", err)) return false;
     p->comps.push_back(std::move(c));
@@ -337,6 +329,7 @@ std::unique_ptr<Design> read_def_design(const std::string& text,
       if (!expect(cur, "design name", &p.design_name, err)) return nullptr;
       cur.skip_statement();
     } else if (kw == "DIEAREA") {
+      const int line = cur.line();
       long lx = 0, ly = 0;
       if (!expect_token(cur, "(", err) ||
           !expect_long(cur, "DIEAREA lx", &lx, err) ||
@@ -349,29 +342,26 @@ std::unique_ptr<Design> read_def_design(const std::string& text,
       }
       cur.skip_statement();
       if (lx != 0 || ly != 0 || p.die_hx <= 0 || p.die_hy <= 0) {
-        fail(err, IoErrorKind::kBadValue, cur.line(),
+        fail(err, IoErrorKind::kBadValue, line,
              "DIEAREA must be (0 0) (hx>0 hy>0)");
         return nullptr;
       }
       p.have_diearea = true;
     } else if (kw == "ROWS") {
+      const int line = cur.line();
       if (!expect_long(cur, "ROWS count", &p.rows, err) ||
           !expect_token(cur, "SITES", err) ||
           !expect_long(cur, "SITES count", &p.sites, err)) {
         return nullptr;
       }
       cur.skip_statement();
-      if (p.rows <= 0 || p.sites <= 0) {
-        fail(err, IoErrorKind::kBadValue, cur.line(), "ROWS/SITES <= 0");
+      if (p.rows <= 0 || p.sites <= 0 || p.rows > INT_MAX ||
+          p.sites > INT_MAX) {
+        fail(err, IoErrorKind::kBadValue, line,
+             "ROWS/SITES must be in [1, INT_MAX]");
         return nullptr;
       }
     } else if (kw == "COMPONENTS") {
-      if (p.rows == 0 && p.have_diearea) {
-        // Derive the site grid from DIEAREA when no ROWS statement came
-        // first (foreign DEF).
-        p.rows = p.die_hy / tech.row_height();
-        p.sites = p.die_hx / tech.site_width();
-      }
       if (!parse_components(cur, lib, &p, err)) return nullptr;
       p.saw_components = true;
     } else if (kw == "PINS") {
@@ -402,12 +392,32 @@ std::unique_ptr<Design> read_def_design(const std::string& text,
     return nullptr;
   }
   if (p.rows == 0 && p.have_diearea) {
+    // No ROWS statement (foreign DEF): derive the site grid from DIEAREA.
     p.rows = p.die_hy / tech.row_height();
     p.sites = p.die_hx / tech.site_width();
   }
   if (p.rows <= 0 || p.sites <= 0) {
     fail(err, IoErrorKind::kMissingSection, 0, "no DIEAREA or ROWS");
     return nullptr;
+  }
+  if (p.rows > INT_MAX || p.sites > INT_MAX) {
+    fail(err, IoErrorKind::kBadValue, 0,
+         "DIEAREA gives more than INT_MAX rows or sites");
+    return nullptr;
+  }
+  // Every component against the final grid, whatever order DIEAREA, ROWS
+  // and COMPONENTS came in (an unplaced one sits at the origin). Written so
+  // that no term can overflow.
+  for (const ParsedComponent& c : p.comps) {
+    const long width = lib.cell(c.cell).width_sites;
+    if (c.x < 0 || c.row < 0 || c.row >= p.rows || c.x > p.sites - width) {
+      fail(err, IoErrorKind::kOutsideDieArea, c.line,
+           "component " + c.name + " at (" + std::to_string(c.x) + ", " +
+               std::to_string(c.row) + ") outside the " +
+               std::to_string(p.rows) + " x " + std::to_string(p.sites) +
+               " site grid");
+      return nullptr;
+    }
   }
 
   // Everything validated — construct the Design in one shot.
@@ -426,26 +436,15 @@ std::unique_ptr<Design> read_def_design(const std::string& text,
                                     std::move(nl), static_cast<int>(p.rows),
                                     static_cast<int>(p.sites));
   for (std::size_t i = 0; i < p.comps.size(); ++i) {
-    d->set_placement(static_cast<int>(i), p.comps[i].place);
+    const ParsedComponent& c = p.comps[i];
+    d->set_placement(static_cast<int>(i),
+                     Placement{static_cast<int>(c.x), static_cast<int>(c.row),
+                               c.flipped});
   }
   for (std::size_t i = 0; i < p.ios.size(); ++i) {
     d->set_io_position(static_cast<int>(i), p.ios[i].pos);
   }
   return d;
-}
-
-std::unique_ptr<Design> read_def_design_file(const std::string& path,
-                                             const Tech& tech,
-                                             const Library& lib,
-                                             IoError* err) {
-  std::ifstream in(path);
-  if (!in) {
-    fail(err, IoErrorKind::kFileNotFound, 0, path);
-    return nullptr;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return read_def_design(ss.str(), tech, lib, err);
 }
 
 }  // namespace vm1

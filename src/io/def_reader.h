@@ -8,7 +8,9 @@
 /// On any error the reader returns nullptr and fills *err with a typed
 /// IoError (truncated file, unknown master, duplicate component, dangling
 /// net pin, placement outside DIEAREA, ...) — never a partially-constructed
-/// Design.
+/// Design. Every component is checked once, after the whole file, against
+/// the final site grid (ROWS, else DIEAREA), so no statement order skips
+/// the check; a grid above INT_MAX rows or sites is a kBadValue.
 #pragma once
 
 #include <memory>
@@ -22,8 +24,5 @@ namespace vm1 {
 std::unique_ptr<Design> read_def_design(const std::string& text,
                                         const Tech& tech, const Library& lib,
                                         IoError* err);
-std::unique_ptr<Design> read_def_design_file(const std::string& path,
-                                             const Tech& tech,
-                                             const Library& lib, IoError* err);
 
 }  // namespace vm1

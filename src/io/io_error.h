@@ -11,7 +11,6 @@
 namespace vm1 {
 
 enum class IoErrorKind {
-  kFileNotFound,       ///< path cannot be opened
   kTruncated,          ///< file/section ends before its END marker
   kSyntax,             ///< malformed statement
   kBadValue,           ///< parsed but out-of-domain value (e.g. width <= 0)
@@ -42,7 +41,6 @@ struct IoError {
 
 inline const char* to_string(IoErrorKind kind) {
   switch (kind) {
-    case IoErrorKind::kFileNotFound: return "file_not_found";
     case IoErrorKind::kTruncated: return "truncated";
     case IoErrorKind::kSyntax: return "syntax";
     case IoErrorKind::kBadValue: return "bad_value";

@@ -1,8 +1,8 @@
 #include "io/lef_reader.h"
 
+#include <climits>
+#include <cmath>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <unordered_map>
 
 #include "io/text_tokens.h"
@@ -17,10 +17,11 @@ bool fail(IoError* err, IoErrorKind kind, int line, std::string msg) {
   return false;
 }
 
+/// A finite number (strtod also reads "nan" and "inf", never valid here).
 bool parse_num(const std::string& s, double* out) {
   char* end = nullptr;
   *out = std::strtod(s.c_str(), &end);
-  return end && *end == '\0' && end != s.c_str();
+  return end && *end == '\0' && end != s.c_str() && std::isfinite(*out);
 }
 
 bool parse_int(const std::string& s, long* out) {
@@ -85,6 +86,18 @@ struct PropReader {
       return fallback;
     }
     return v;
+  }
+
+  /// A coordinate (DBU) property: also refused when it does not fit an
+  /// int, so the conversion to Coord is always defined.
+  Coord coord(const std::string& key, Coord fallback) {
+    double v = num(key, static_cast<double>(fallback));
+    if (std::fabs(v) > INT_MAX) {
+      ok = false;
+      bad_key = key;
+      return fallback;
+    }
+    return static_cast<Coord>(v);
   }
 };
 
@@ -153,6 +166,12 @@ bool parse_pin(TokenCursor& cur, const std::string& pin_name, const Tech& tech,
           return fail(err, IoErrorKind::kSyntax, cur.line(),
                       "malformed RECT in pin " + pin_name);
         }
+        // Bounded like the coordinate properties, so the geometry below
+        // (the M0 midpoint) cannot overflow.
+        if (x < INT_MIN || x > INT_MAX) {
+          return fail(err, IoErrorKind::kBadValue, cur.line(),
+                      "RECT coordinate out of range in pin " + pin_name);
+        }
       }
       pin->shapes.push_back({static_cast<LayerId>(layer),
                              Rect(static_cast<Coord>(v[0]),
@@ -181,10 +200,10 @@ bool parse_pin(TokenCursor& cur, const std::string& pin_name, const Tech& tech,
     }
   }
   PropReader pr{props, true, {}};
-  pin->x_track = static_cast<Coord>(pr.num("vm1_x_track", pin->x_track));
-  pin->xmin = static_cast<Coord>(pr.num("vm1_xmin", pin->xmin));
-  pin->xmax = static_cast<Coord>(pr.num("vm1_xmax", pin->xmax));
-  pin->y_off = static_cast<Coord>(pr.num("vm1_y_off", pin->y_off));
+  pin->x_track = pr.coord("vm1_x_track", pin->x_track);
+  pin->xmin = pr.coord("vm1_xmin", pin->xmin);
+  pin->xmax = pr.coord("vm1_xmax", pin->xmax);
+  pin->y_off = pr.coord("vm1_y_off", pin->y_off);
   pin->cap = pr.num("vm1_cap", pin->cap);
   if (!pr.ok) {
     return fail(err, IoErrorKind::kBadValue, cur.line(),
@@ -226,7 +245,7 @@ bool parse_macro(TokenCursor& cur, const std::string& name, const Tech& tech,
         return fail(err, IoErrorKind::kSyntax, cur.line(),
                     "malformed SIZE in MACRO " + name);
       }
-      if (w <= 0) {
+      if (w <= 0 || w > INT_MAX) {
         return fail(err, IoErrorKind::kBadValue, cur.line(),
                     "MACRO " + name + " width " + std::to_string(w));
       }
@@ -393,14 +412,6 @@ bool read_lef(const std::string& text, LefContents* out, IoError* err) {
   out->tech = std::move(tech);
   out->lib = std::move(lib);
   return true;
-}
-
-bool read_lef_file(const std::string& path, LefContents* out, IoError* err) {
-  std::ifstream in(path);
-  if (!in) return fail(err, IoErrorKind::kFileNotFound, 0, path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return read_lef(ss.str(), out, err);
 }
 
 }  // namespace vm1

@@ -13,7 +13,9 @@
 /// electrical data falls back to defaults.
 ///
 /// On any error the reader returns false, fills *err with a typed IoError,
-/// and leaves *out untouched — never a partially-constructed library.
+/// and leaves *out untouched — never a partially-constructed library. A
+/// number that does not fit its field (a SIZE above INT_MAX, a coordinate
+/// outside int, NaN or infinity) is a kBadValue.
 #pragma once
 
 #include <string>
@@ -29,6 +31,5 @@ struct LefContents {
 };
 
 bool read_lef(const std::string& text, LefContents* out, IoError* err);
-bool read_lef_file(const std::string& path, LefContents* out, IoError* err);
 
 }  // namespace vm1

@@ -73,7 +73,8 @@ class BranchAndBound {
     /// stops at the next node boundary and returns the best incumbent so
     /// far (status kFeasible/kNoSolution, as for a time limit). The pointee
     /// must outlive the solve; DistOpt points every window's solve at its
-    /// pass-level token so a deadline cuts a whole batch off cleanly.
+    /// pass-level token so an external cancel cuts a whole batch off
+    /// cleanly.
     const std::atomic<bool>* cancel = nullptr;
     lp::SimplexSolver::Options lp_options = {};
 

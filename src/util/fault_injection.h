@@ -2,8 +2,8 @@
 /// Deterministic, seed-keyed fault injection for the window-solve path.
 ///
 /// A production DistOpt run solves up to millions of window MILPs; the
-/// guardrails around that path (legality audit, fallback cascade, deadline
-/// manager — see DESIGN.md "Window-solve guardrails") are only trustworthy
+/// guardrails around that path (legality audit, fallback cascade,
+/// cancellation — see DESIGN.md "Window-solve guardrails") are only trustworthy
 /// if every degradation branch is exercised regularly. This module lets
 /// tests (and brave operators) force failures at well-defined sites:
 ///

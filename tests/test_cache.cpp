@@ -384,8 +384,8 @@ VM1OptOptions cache_opts() {
   o.max_inner_iters = 2;
   o.threads = 2;
   o.params.alpha = 35;
-  // Deterministic truncation only: the node limit binds, wall-clock never
-  // (wall-clock-truncated solves are excluded from memoization).
+  // Deterministic truncation only: the node limit binds, wall-clock never,
+  // so a cache-served re-run replays exactly what a fresh run would solve.
   o.mip.max_nodes = 40;
   o.mip.time_limit_sec = 3600;
   o.mip.lp_options.time_limit_sec = 0;

@@ -177,7 +177,6 @@ PreparedWindow prepare_window(const Design& d, const DistOptOptions& o) {
   pw.request.req_id = 1;
   pw.request.job = pw.job;
   pw.request.greedy_fallback = o.greedy_fallback;
-  pw.request.sig_mip = o.mip;
   pw.request.faults = fault::config();
   pw.request.expected_sig =
       window_signature(d, pw.job.window, pw.job.movable, nets[widx], o);
@@ -255,6 +254,36 @@ TEST_F(WorkerProtocol, DesyncedReplicaReportsTypedErrorThenRecovers) {
   // The correct signature still solves — the worker stayed serviceable.
   w.send_request(pw.request);
   EXPECT_FALSE(w.recv_entry().is_error);
+
+  w.send(MsgType::kShutdown, {});
+  EXPECT_EQ(w.finish(), 0);
+}
+
+TEST_F(WorkerProtocol, SignsAndMemoizesUnderTheRequestMip) {
+  // The worker signs its replica check with the request's own solver
+  // limits, so a request signed over limits other than the defaults solves
+  // (no desync) and the same request again is served from the memo tier.
+  Design d = placed_design(5);
+  DistOptOptions o = base_opts();
+  o.mip.max_nodes = 7;
+  ASSERT_NE(o.mip.max_nodes, milp::BranchAndBound::Options{}.max_nodes);
+  PreparedWindow pw = prepare_window(d, o);
+  ASSERT_EQ(pw.request.job.mip.max_nodes, 7);
+
+  WorkerHarness w;
+  ASSERT_EQ(w.recv().type, MsgType::kHello);
+  w.send(MsgType::kBindDesign, encode_design(d));
+  w.send_request(pw.request);
+  WireBatchEntry first = w.recv_entry();
+  ASSERT_FALSE(first.is_error) << first.error.message;
+  EXPECT_FALSE(first.cached);
+  EXPECT_LE(first.reply.result.nodes, 7);
+
+  w.send_request(pw.request);
+  WireBatchEntry again = w.recv_entry();
+  ASSERT_FALSE(again.is_error) << again.error.message;
+  EXPECT_TRUE(again.cached);
+  EXPECT_EQ(again.reply.result.placements, first.reply.result.placements);
 
   w.send(MsgType::kShutdown, {});
   EXPECT_EQ(w.finish(), 0);
@@ -544,7 +573,6 @@ PreparedBatch prepare_batch(const Design& d, const DistOptOptions& o,
     rj.job = &b.jobs[i];
     rj.result = &b.results[i];
     rj.greedy_fallback = o.greedy_fallback;
-    rj.sig_mip = o.mip;
     rj.expected_sig = window_signature(
         d, b.jobs[i].window, b.jobs[i].movable,
         nets[static_cast<std::size_t>(b.jobs[i].widx)], o);

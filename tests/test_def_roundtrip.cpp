@@ -4,6 +4,7 @@
 /// byte-identical DEF (and the same for the library through read_lef).
 /// Bit-exactness is the strongest cheap invariant: it implies every name,
 /// master binding, connection order, IO position and placement survived.
+/// Sanitizer builds define VM1_EQUIV_LIGHT to shrink the corpus.
 #include <gtest/gtest.h>
 
 #include "io/def_io.h"
@@ -19,21 +20,36 @@ namespace {
 constexpr CellArch kArchs[] = {CellArch::kConventional12T,
                                CellArch::kClosedM1, CellArch::kOpenM1};
 
+#ifdef VM1_EQUIV_LIGHT
+constexpr int kRoundtripDesigns = 12;
+#else
+constexpr int kRoundtripDesigns = 50;
+#endif
+
 TEST(DefRoundtrip, FiftyRandomDesignsBitExact) {
-  for (int i = 0; i < 50; ++i) {
+  for (int i = 0; i < kRoundtripDesigns; ++i) {
     CellArch arch = kArchs[i % 3];
     DesignOptions opts;
     opts.seed = 1000 + i;
     opts.scale = 0.25 + 0.15 * (i % 4);
     opts.utilization = 0.55 + 0.1 * (i % 3);
     Design d = make_design("tiny", arch, opts);
-    // Half the corpus is placed (exercises nonzero coordinates and
-    // orientation), half stays at the generator's all-zero placement.
+    // Half the corpus is placed, with every seventh cell mirrored
+    // (exercises nonzero coordinates and both orientations), half stays at
+    // the generator's all-zero placement.
     if (i % 2 == 0) {
       global_place(d);
       legalize(d);
+      for (int inst = 0; inst < d.netlist().num_instances(); inst += 7) {
+        Placement p = d.placement(inst);
+        p.flipped = true;
+        d.set_placement(inst, p);
+      }
     }
     std::string def = write_def(d);
+    if (i % 2 == 0) {
+      ASSERT_NE(def.find(") FS ;"), std::string::npos) << "design " << i;
+    }
 
     IoError err;
     std::unique_ptr<Design> back =

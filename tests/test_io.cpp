@@ -1,4 +1,14 @@
+/// LEF/DEF ingestion tests: the LEF writer, round trips through read_lef
+/// and read_def_design, one typed IoError per malformed input, and a seeded
+/// mutation fuzz of both readers. Also built into the `io` binary, which
+/// sanitizer builds run with VM1_EQUIV_LIGHT (a smaller fuzz).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cctype>
+#include <exception>
+#include <utility>
+#include <vector>
 
 #include "cells/library_builder.h"
 #include "io/def_io.h"
@@ -8,6 +18,7 @@
 #include "io/report.h"
 #include "place/global_placer.h"
 #include "place/legalizer.h"
+#include "util/rng.h"
 
 namespace vm1 {
 namespace {
@@ -21,75 +32,6 @@ TEST(LefWriter, ContainsMacrosAndLayers) {
   EXPECT_NE(lef.find("DIRECTION VERTICAL"), std::string::npos);
   EXPECT_NE(lef.find("PIN ZN"), std::string::npos);
   EXPECT_NE(lef.find("CLASS CORE SPACER"), std::string::npos);  // fillers
-}
-
-TEST(DefIo, RoundTripPlacement) {
-  Design d = make_design("tiny", CellArch::kClosedM1);
-  global_place(d);
-  legalize(d);
-  std::string def = write_def(d);
-  EXPECT_NE(def.find("COMPONENTS"), std::string::npos);
-
-  // Scramble, then restore from DEF.
-  Design d2 = make_design("tiny", CellArch::kClosedM1);
-  auto problems = read_def_placement(def, d2);
-  EXPECT_TRUE(problems.empty());
-  for (int i = 0; i < d.netlist().num_instances(); ++i) {
-    EXPECT_EQ(d.placement(i), d2.placement(i)) << "instance " << i;
-  }
-}
-
-TEST(DefIo, ReportsUnknownInstances) {
-  Design d = make_design("tiny", CellArch::kClosedM1);
-  std::string def =
-      "COMPONENTS 1 ;\n- ghost INV_X1_SVT + PLACED ( 3 2 ) N ;\n"
-      "END COMPONENTS\n";
-  auto problems = read_def_placement(def, d);
-  ASSERT_EQ(problems.size(), 1u);
-  EXPECT_NE(problems[0].find("ghost"), std::string::npos);
-}
-
-TEST(DefIo, OrientationPreserved) {
-  Design d = make_design("tiny", CellArch::kClosedM1);
-  d.set_placement(0, Placement{4, 1, true});
-  d.set_placement(1, Placement{9, 0, false});
-  std::string def = write_def(d);
-  Design d2 = make_design("tiny", CellArch::kClosedM1);
-  read_def_placement(def, d2);
-  EXPECT_TRUE(d2.placement(0).flipped);
-  EXPECT_FALSE(d2.placement(1).flipped);
-}
-
-TEST(DefIo, DuplicateComponentReportedFirstWins) {
-  Design d = make_design("tiny", CellArch::kClosedM1);
-  std::string def =
-      "COMPONENTS 2 ;\n"
-      "- u0 INV_X1_SVT + PLACED ( 3 2 ) N ;\n"
-      "- u0 INV_X1_SVT + PLACED ( 9 1 ) N ;\n"
-      "END COMPONENTS\n";
-  auto problems = read_def_placement(def, d);
-  ASSERT_EQ(problems.size(), 1u);
-  EXPECT_NE(problems[0].find("duplicate"), std::string::npos) << problems[0];
-  EXPECT_NE(problems[0].find("u0"), std::string::npos);
-  // The first record wins; the later one is rejected, not applied.
-  EXPECT_EQ(d.placement(0), (Placement{3, 2, false}));
-}
-
-TEST(DefIo, OutsideDieAreaRejected) {
-  Design d = make_design("tiny", CellArch::kClosedM1);
-  Placement before = d.placement(0);
-  std::string def =
-      "COMPONENTS 3 ;\n"
-      "- u0 INV_X1_SVT + PLACED ( 100000 2 ) N ;\n"
-      "- u1 INV_X1_SVT + PLACED ( 3 -1 ) N ;\n"
-      "- u2 INV_X1_SVT + PLACED ( 3 100000 ) N ;\n"
-      "END COMPONENTS\n";
-  auto problems = read_def_placement(def, d);
-  ASSERT_EQ(problems.size(), 3u);
-  for (const std::string& p : problems) {
-    EXPECT_NE(p.find("DIEAREA"), std::string::npos) << p;
-  }
-  EXPECT_EQ(d.placement(0), before);  // rejected records leave d untouched
 }
 
 // ---------------------------------------------------------------------------
@@ -160,6 +102,34 @@ TEST(LefReader, DuplicateMacroIsTypedError) {
   IoError err;
   EXPECT_FALSE(read_lef(dup, &out, &err));
   EXPECT_EQ(err.kind, IoErrorKind::kDuplicateComponent) << err.str();
+}
+
+TEST(LefReader, OutOfRangeNumbersAreTypedErrors) {
+  // Each number does not fit the field it is read into: a width of 2^32
+  // wraps to 0 in an int, NaN and 1e308 have no integer coordinate, and a
+  // RECT corner at LONG_MAX overflows the M0 pin's midpoint.
+  const std::string lef = write_lef(Tech::make_7nm(),
+                                    build_library(CellArch::kOpenM1));
+  // Replaces the number after the first `key` inside a MACRO.
+  auto with_first_number_after = [&lef](const std::string& key,
+                                        const std::string& value) {
+    std::string bad = lef;
+    std::size_t at = bad.find(key, bad.find("\nMACRO "));
+    EXPECT_NE(at, std::string::npos) << key;
+    at += key.size();
+    bad.replace(at, bad.find(' ', at) - at, value);
+    return bad;
+  };
+  for (const std::string& bad :
+       {with_first_number_after("\n  SIZE ", "4294967296"),
+        with_first_number_after("vm1_x_track ", "nan"),
+        with_first_number_after("vm1_y_off ", "1e308"),
+        with_first_number_after("LAYER M0 RECT ", "9223372036854775807")}) {
+    LefContents out;
+    IoError err;
+    EXPECT_FALSE(read_lef(bad, &out, &err));
+    EXPECT_EQ(err.kind, IoErrorKind::kBadValue) << err.str();
+  }
 }
 
 TEST(DefReader, BuildsCompleteDesign) {
@@ -247,6 +217,252 @@ TEST(DefReader, OutsideDieAreaIsTypedError) {
   IoError err;
   EXPECT_EQ(read_def_design(bad, in.d.tech(), in.d.library(), &err), nullptr);
   EXPECT_EQ(err.kind, IoErrorKind::kOutsideDieArea) << err.str();
+}
+
+/// 1-based line of the first occurrence of `needle` in `text`.
+int line_of(const std::string& text, const std::string& needle) {
+  std::size_t at = text.find(needle);
+  EXPECT_NE(at, std::string::npos) << needle;
+  return 1 + static_cast<int>(std::count(
+                 text.begin(), text.begin() + static_cast<long>(at), '\n'));
+}
+
+/// Removes the whole line holding `needle` from *text and returns it.
+std::string take_line(std::string* text, const std::string& needle) {
+  std::size_t a = text->rfind('\n', text->find(needle)) + 1;
+  std::size_t e = text->find('\n', a) + 1;
+  std::string line = text->substr(a, e - a);
+  text->erase(a, e - a);
+  return line;
+}
+
+/// Sets the "( x row )" of component `name` to `xy`.
+void place_component(std::string* def, const std::string& name,
+                     const std::string& xy) {
+  std::size_t open = def->find("( ", def->find("- " + name + " "));
+  def->replace(open, def->find(')', open) + 1 - open, "( " + xy + " )");
+}
+
+TEST(DefReader, HugeComponentXIsTypedError) {
+  // x + width would overflow a long: the check must not add.
+  Ingest in = make_ingest(CellArch::kClosedM1);
+  std::string bad = in.def;
+  place_component(&bad, "u0", "9223372036854775807 1");
+  IoError err;
+  EXPECT_EQ(read_def_design(bad, in.d.tech(), in.d.library(), &err), nullptr);
+  EXPECT_EQ(err.kind, IoErrorKind::kOutsideDieArea) << err.str();
+  EXPECT_EQ(err.line, line_of(bad, "- u0 ")) << err.str();
+}
+
+TEST(DefReader, FloorplanAfterComponentsStillBoundsThem) {
+  // DIEAREA and ROWS after COMPONENTS: the placements are checked against
+  // the grid they arrive with, not waved through for lack of one.
+  Ingest in = make_ingest(CellArch::kClosedM1);
+  std::string bad = in.def;
+  std::string floorplan = take_line(&bad, "DIEAREA") + take_line(&bad, "ROWS");
+  bad.insert(bad.find("END COMPONENTS\n") + 15, floorplan);
+  place_component(&bad, "u0", "5000 40");
+  IoError err;
+  EXPECT_EQ(read_def_design(bad, in.d.tech(), in.d.library(), &err), nullptr);
+  EXPECT_EQ(err.kind, IoErrorKind::kOutsideDieArea) << err.str();
+  EXPECT_EQ(err.line, line_of(bad, "- u0 ")) << err.str();
+}
+
+TEST(DefReader, LaterRowsStatementRechecksComponents) {
+  // A second ROWS after COMPONENTS shrinks the die to one row under
+  // components already read: the first one above row 0 is refused.
+  Ingest in = make_ingest(CellArch::kClosedM1);
+  std::string bad = in.def;
+  bad.insert(bad.find("END COMPONENTS\n") + 15,
+             "ROWS 1 SITES " + std::to_string(in.d.sites_per_row()) + " ;\n");
+  const Netlist& nl = in.d.netlist();
+  int first_above = -1;
+  for (int i = 0; i < nl.num_instances() && first_above < 0; ++i) {
+    if (in.d.placement(i).row > 0) first_above = i;
+  }
+  ASSERT_GE(first_above, 0);
+  IoError err;
+  EXPECT_EQ(read_def_design(bad, in.d.tech(), in.d.library(), &err), nullptr);
+  EXPECT_EQ(err.kind, IoErrorKind::kOutsideDieArea) << err.str();
+  EXPECT_EQ(err.line,
+            line_of(bad, "- " + nl.instance(first_above).name + " "))
+      << err.str();
+}
+
+TEST(DefReader, GridAboveIntMaxIsTypedError) {
+  Ingest in = make_ingest(CellArch::kClosedM1);
+  const std::string sites = std::to_string(in.d.sites_per_row());
+  // 4294967301 rows would wrap to 5 in an int; 2^32 sites to 0.
+  for (const std::string& rows : std::vector<std::string>{
+           "ROWS 4294967301 SITES " + sites + " ;\n",
+           "ROWS 5 SITES 4294967296 ;\n"}) {
+    std::string bad = in.def;
+    std::size_t a = bad.find("ROWS ");
+    bad.replace(a, bad.find('\n', a) + 1 - a, rows);
+    IoError err;
+    EXPECT_EQ(read_def_design(bad, in.d.tech(), in.d.library(), &err),
+              nullptr)
+        << rows;
+    EXPECT_EQ(err.kind, IoErrorKind::kBadValue) << err.str();
+    EXPECT_EQ(err.line, line_of(bad, "ROWS ")) << err.str();
+  }
+  // Without ROWS the grid comes from DIEAREA, under the same limit.
+  std::string bad = in.def;
+  take_line(&bad, "ROWS ");
+  std::size_t a = bad.find("DIEAREA");
+  bad.replace(a, bad.find('\n', a) - a,
+              "DIEAREA ( 0 0 ) ( 9223372036854775807 "
+              "9223372036854775807 ) ;");
+  IoError err;
+  EXPECT_EQ(read_def_design(bad, in.d.tech(), in.d.library(), &err), nullptr);
+  EXPECT_EQ(err.kind, IoErrorKind::kBadValue) << err.str();
+}
+
+// ---------------------------------------------------------------------------
+// Mutation fuzz of both readers, in the manner of WireFuzz
+// (tests/test_wire.cpp): seeded byte flips, truncations, deleted or
+// duplicated tokens, and numeric tokens swapped for hostile values. No
+// exception may escape, a rejection must fill a typed IoError with a
+// message, and whatever is accepted must hold what the reader promises.
+
+#ifdef VM1_EQUIV_LIGHT
+constexpr int kMutationsPerArch = 500;
+#else
+constexpr int kMutationsPerArch = 2000;
+#endif
+
+constexpr CellArch kAllArchs[] = {CellArch::kConventional12T,
+                                  CellArch::kClosedM1, CellArch::kOpenM1};
+
+/// A fuzz seed text with its whitespace-separated token spans.
+struct FuzzSeed {
+  std::string text;
+  std::vector<std::pair<std::size_t, std::size_t>> toks;  ///< [begin, end)
+  std::vector<std::size_t> numeric;  ///< indices into toks
+
+  explicit FuzzSeed(std::string t) : text(std::move(t)) {
+    auto space = [](char c) {
+      return std::isspace(static_cast<unsigned char>(c)) != 0;
+    };
+    for (std::size_t i = 0; i < text.size();) {
+      while (i < text.size() && space(text[i])) ++i;
+      std::size_t b = i;
+      while (i < text.size() && !space(text[i])) ++i;
+      if (i == b) continue;
+      bool digits = std::all_of(text.begin() + static_cast<long>(b),
+                                text.begin() + static_cast<long>(i),
+                                [](char c) {
+                                  return std::isdigit(
+                                             static_cast<unsigned char>(c)) ||
+                                         c == '-' || c == '.';
+                                });
+      if (digits) numeric.push_back(toks.size());
+      toks.emplace_back(b, i);
+    }
+  }
+
+  std::string mutate(Rng& rng) const {
+    static const char* const kHostile[] = {"9223372036854775807", "-1",
+                                           "4294967296", "1e308", "nan"};
+    std::string s = text;
+    auto [b, e] = toks[rng.uniform(toks.size())];
+    switch (rng.uniform(5)) {
+      case 0:  // byte flip
+        s[rng.uniform(s.size())] ^= static_cast<char>(1 + rng.uniform(255));
+        break;
+      case 1:  // truncation
+        s.resize(rng.uniform(s.size() + 1));
+        break;
+      case 2:  // deleted token
+        s.erase(b, e - b);
+        break;
+      case 3:  // duplicated token
+        s.insert(e, " " + s.substr(b, e - b));
+        break;
+      default: {  // hostile number
+        auto [nb, ne] = toks[numeric[rng.uniform(numeric.size())]];
+        s.replace(nb, ne - nb, kHostile[rng.uniform(5)]);
+        break;
+      }
+    }
+    return s;
+  }
+};
+
+TEST(IoFuzz, MutatedDefIsTypedErrorOrInsideTheDie) {
+  Rng rng(1907);
+  long accepted = 0, rejected = 0;
+  for (CellArch arch : kAllArchs) {
+    Ingest in = make_ingest(arch);
+    FuzzSeed seed(in.def);
+    for (int k = 0; k < kMutationsPerArch; ++k) {
+      std::string text = seed.mutate(rng);
+      IoError err;
+      std::unique_ptr<Design> d;
+      try {
+        d = read_def_design(text, in.d.tech(), in.d.library(), &err);
+      } catch (const std::exception& e) {
+        FAIL() << to_string(arch) << " mutation " << k
+               << ": exception escaped: " << e.what();
+      }
+      if (!d) {
+        ++rejected;
+        ASSERT_FALSE(err.message.empty())
+            << to_string(arch) << " mutation " << k << ": " << err.str();
+        continue;
+      }
+      ++accepted;
+      const Netlist& nl = d->netlist();
+      for (int i = 0; i < nl.num_instances(); ++i) {
+        const Placement& p = d->placement(i);
+        const long width = nl.cell_of(i).width_sites;
+        ASSERT_TRUE(p.x >= 0 && p.row >= 0 && p.row < d->num_rows() &&
+                    p.x + width <= d->sites_per_row())
+            << to_string(arch) << " mutation " << k << ": "
+            << nl.instance(i).name << " at (" << p.x << ", " << p.row
+            << ") outside the " << d->num_rows() << " x "
+            << d->sites_per_row() << " grid";
+      }
+    }
+  }
+  // Both outcomes occur, so neither check above is vacuous.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(IoFuzz, MutatedLefIsTypedErrorOrWellFormed) {
+  Rng rng(1917);
+  long accepted = 0, rejected = 0;
+  for (CellArch arch : kAllArchs) {
+    FuzzSeed seed(write_lef(Tech::make_7nm(), build_library(arch)));
+    for (int k = 0; k < kMutationsPerArch; ++k) {
+      std::string text = seed.mutate(rng);
+      LefContents out;
+      IoError err;
+      bool ok = false;
+      try {
+        ok = read_lef(text, &out, &err);
+      } catch (const std::exception& e) {
+        FAIL() << to_string(arch) << " mutation " << k
+               << ": exception escaped: " << e.what();
+      }
+      if (!ok) {
+        ++rejected;
+        ASSERT_FALSE(err.message.empty())
+            << to_string(arch) << " mutation " << k << ": " << err.str();
+        continue;
+      }
+      ++accepted;
+      ASSERT_GT(out.lib.num_cells(), 0);
+      for (int c = 0; c < out.lib.num_cells(); ++c) {
+        ASSERT_GT(out.lib.cell(c).width_sites, 0)
+            << to_string(arch) << " mutation " << k << ": "
+            << out.lib.cell(c).name;
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(Report, TableRendering) {

@@ -55,7 +55,6 @@ WireRequest sample_request(std::uint64_t seed) {
   rq.job.mip.time_limit_sec = 1.5;
   rq.job.mip.lp_options.time_limit_sec = 0.75;
   rq.greedy_fallback = rng.chance(0.5);
-  rq.sig_mip.max_nodes = 40;
   rq.faults.rate[0] = 0.25;
   rq.faults.rate[fault::kNumSites - 1] = 0.5;
   rq.faults.seed = rng.next();
@@ -222,7 +221,6 @@ TEST(WireMessages, RequestRoundTripsBitExact) {
   EXPECT_EQ(r2.job.mip.lp_options.time_limit_sec,
             rq.job.mip.lp_options.time_limit_sec);
   EXPECT_EQ(r2.greedy_fallback, rq.greedy_fallback);
-  EXPECT_EQ(r2.sig_mip.max_nodes, rq.sig_mip.max_nodes);
   for (int i = 0; i < fault::kNumSites; ++i) {
     EXPECT_EQ(r2.faults.rate[i], rq.faults.rate[i]) << "site " << i;
   }
