@@ -51,8 +51,8 @@ lp::Problem make_assignment_lp(int cells, int cands, std::uint64_t seed) {
 
 /// Window-MILP-shaped instance: per-cell candidate binaries (SCP lambdas)
 /// with exclusivity, shared-site coupling, and alignment-indicator binaries
-/// rewarded through big-M rows — the structure DistOpt hands to
-/// branch-and-bound thousands of times per pass.
+/// rewarded through big-M rows — the structure of the OpenM1 windows
+/// DistOpt hands to branch-and-bound thousands of times per pass.
 milp::Model make_window_milp(int cells, int cands, int pairs,
                              std::uint64_t seed) {
   Rng rng(seed);
@@ -82,7 +82,7 @@ milp::Model make_window_milp(int cells, int cands, int pairs,
     }
     m.add_constraint(row, lp::Sense::kLe, 1);
   }
-  // Alignment indicators d_pq with big-M equality coupling (Eq. (4) shape).
+  // Alignment indicators d_pq with big-M coupling (the big-M form of Eq. (4)).
   const double big_m = 40;
   for (int i = 0; i < pairs; ++i) {
     int a = static_cast<int>(rng.uniform(cells));

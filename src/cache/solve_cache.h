@@ -31,7 +31,7 @@ namespace vm1::cache {
 /// Bump when the window-solve semantics change in a way the signature
 /// cannot see (solver algorithm rework, objective redefinition). Persisted
 /// entries from other epochs are discarded at open.
-inline constexpr std::uint64_t kSolverEpoch = 2;
+inline constexpr std::uint64_t kSolverEpoch = 3;
 
 /// The epoch a store must be opened with for this build's solver: the
 /// solver generation mixed with the fault-site census (adding a site

@@ -3,17 +3,23 @@
 ///
 /// ClosedM1 (Eq. (1)-(9)): minimize  -alpha * sum(d_pq) + sum(beta * w_n)
 /// where d_pq = 1 only if pins p, q of a net have equal absolute x and
-/// |dy| <= gamma_closed * H (big-M constraints (4)); the SCP lambda
-/// candidates (5)-(8) choose each cell's placement and (9) keeps sites
-/// exclusive.
+/// |dy| <= gamma_closed * H (constraints (4)); the SCP lambda candidates
+/// (5)-(8) choose each cell's placement and (9) keeps sites exclusive.
+/// Constraint (4) is written per pin value rather than with big-M: with
+/// lambda_p(v) the sum of the lambdas of p's candidates that put the pin at
+/// v, each x value v of p gets lambda_p(v) - lambda_q(v) + d_pq <= 1 and
+/// each row value v gets lambda_p(v) - sum_{|u - v| <= gamma_closed * H}
+/// lambda_q(u) + d_pq <= 1 (a fixed pin leads as p; rows no placement of q
+/// can violate are dropped). The rows are exact on integer points, and
+/// unlike big-M they keep the LP from aligning pins by averaging lambdas.
 ///
 /// OpenM1 (Eq. (10)-(14)): adds per-pair overlap interval [a, b], the
 /// out-of-range indicator v_pq (|dy| > gamma * H forces v = 1, and (14)
-/// d + v <= 1), and the overlap length o_pq rewarded with weight epsilon.
+/// d + v <= 1), and the overlap length o_pq rewarded with weight epsilon,
+/// with big-M rows whose per-pair M comes from the candidate ranges.
 ///
-/// The builder folds fixed pins into variable bounds, prunes pairs that can
-/// never align/overlap under the candidate sets, and uses per-pair big-M
-/// values computed from candidate ranges (tight M ==> strong LP bounds).
+/// The builder folds fixed pins into variable bounds and prunes pairs that
+/// can never align/overlap under the candidate sets.
 #pragma once
 
 #include <optional>
@@ -109,13 +115,10 @@ class BuiltMilp {
   /// (the identity assignment; candidate 0 of every cell).
   std::vector<double> warm_start(const Design& d) const;
 
-  /// Applies a MILP solution: chooses each cell's selected candidate.
-  void apply(Design& d, const std::vector<double>& x) const;
-
-  /// The placements apply() would write, one per entry of `cells`, without
-  /// mutating anything — cells whose solution selects no candidate keep
-  /// their current placement. Safe in the read-only parallel phase; also
-  /// how the distributed worker ships solutions back as plain deltas.
+  /// The placements a MILP solution chooses, one per entry of `cells`,
+  /// without mutating anything — cells whose solution selects no candidate
+  /// keep their current placement. Safe in the read-only parallel phase;
+  /// also how the distributed worker ships solutions back as plain deltas.
   std::vector<Placement> chosen_placements(const std::vector<double>& x) const;
 
   /// Rounding heuristic for branch-and-bound: pick each cell's

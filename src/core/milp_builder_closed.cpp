@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <map>
 #include <set>
 
 #include "core/milp_builder_detail.h"
@@ -83,6 +84,22 @@ PinGeom make_pin_geom(const Design& d, const BuiltMilp& built,
   return g;
 }
 
+namespace {
+
+/// A pin's values along one axis in ascending order, each with the lambdas
+/// of the candidates that put the pin there; a fixed pin has one value and
+/// no lambda.
+using ValueLambdas = std::map<double, std::vector<int>>;
+
+ValueLambdas lambdas_by_value(const LinExpr& e) {
+  ValueLambdas out;
+  for (const auto& [var, v] : e.terms) out[v].push_back(var);
+  if (e.terms.empty()) out[e.constant];
+  return out;
+}
+
+}  // namespace
+
 bool add_closed_pair(const WindowProblem& prob, BuiltMilp& built,
                      AlignPair& pair, const PinGeom& P, const PinGeom& Q) {
   const double H =
@@ -97,19 +114,41 @@ bool add_closed_pair(const WindowProblem& prob, BuiltMilp& built,
 
   milp::Model& m = built.model;
   pair.d_var = m.add_binary(-prob.params.alpha, "d");
-  m.set_branch_priority(pair.d_var, 1);  // big-M rows: branch d first
+  // Branch d first: fixing it decides every alignment row of the pair.
+  m.set_branch_priority(pair.d_var, 1);
 
-  const double gx =
-      std::max(P.x_max - Q.x_min, Q.x_max - P.x_min) + 1.0;
-  const double gy =
-      std::max(P.y_max - Q.y_min, Q.y_max - P.y_min) + y_bound + 1.0;
-
-  // (4): x_p - x_q <= G(1 - d)  and symmetric.
-  detail::add_diff_constraint(m, P.x, Q.x, pair.d_var, gx, gx);
-  detail::add_diff_constraint(m, Q.x, P.x, pair.d_var, gx, gx);
-  // (4): |y_p - y_q| <= G(1 - d) + gamma_closed * H.
-  detail::add_diff_constraint(m, P.y, Q.y, pair.d_var, gy, gy + y_bound);
-  detail::add_diff_constraint(m, Q.y, P.y, pair.d_var, gy, gy + y_bound);
+  // (4), written per pin value instead of with big-M: d = 1 only if Q sits
+  // wherever P does. With lambda_P(v) the sum of the lambdas of P's
+  // candidates that put the pin at v, each x value v of P gets
+  //   lambda_P(v) - lambda_Q(v) + d <= 1
+  // and each row value v of P gets
+  //   lambda_P(v) - sum_{u : |u - v| <= gamma_closed * H} lambda_Q(u) + d <= 1.
+  // Unlike x_p - x_q <= G(1 - d), the rows cut off fractional lambdas that
+  // only average to an aligned x. A fixed pin leads as P (lambda_P(v) is
+  // then the constant 1), which leaves one row d <= lambda_Q(its value) per
+  // axis. Rows in which every value of Q is compatible are dropped.
+  const PinGeom& lead = Q.movable ? P : Q;
+  const PinGeom& other = Q.movable ? Q : P;
+  auto add_rows = [&](const LinExpr& lead_e, const LinExpr& other_e,
+                      double span) {
+    const ValueLambdas other_vals = lambdas_by_value(other_e);
+    for (const auto& [v, lams] : lambdas_by_value(lead_e)) {
+      std::vector<std::pair<int, double>> terms;
+      for (int l : lams) terms.emplace_back(l, 1.0);
+      std::size_t compatible = 0;
+      for (const auto& [u, other_lams] : other_vals) {
+        if (std::abs(u - v) > span) continue;
+        ++compatible;
+        for (int l : other_lams) terms.emplace_back(l, -1.0);
+      }
+      if (compatible == other_vals.size()) continue;
+      terms.emplace_back(pair.d_var, 1.0);
+      m.add_constraint(std::move(terms), lp::Sense::kLe,
+                       lams.empty() ? 0.0 : 1.0);
+    }
+  };
+  add_rows(lead.x, other.x, 0.0);
+  add_rows(lead.y, other.y, y_bound);
   return true;
 }
 
@@ -414,21 +453,13 @@ std::vector<double> BuiltMilp::warm_start(const Design& d) const {
   return complete(std::vector<int>(cells.size(), 0));
 }
 
-void BuiltMilp::apply(Design& d, const std::vector<double>& x) const {
-  std::vector<Placement> chosen = chosen_placements(x);
-  for (std::size_t m = 0; m < cells.size(); ++m) {
-    d.set_placement(cells[m], chosen[m]);
-  }
-}
-
 std::vector<Placement> BuiltMilp::chosen_placements(
     const std::vector<double>& x) const {
   std::vector<Placement> out;
   out.reserve(cells.size());
   for (std::size_t m = 0; m < cells.size(); ++m) {
     // Default to the current placement: a (theoretically infeasible)
-    // all-zero lambda row leaves the cell where it is, matching the old
-    // apply() behaviour of skipping the cell.
+    // all-zero lambda row leaves the cell where it is.
     Placement p = design_->placement(cells[m]);
     for (std::size_t k = 0; k < lambda[m].size(); ++k) {
       if (x[lambda[m][k]] > 0.5) {

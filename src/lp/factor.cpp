@@ -14,7 +14,19 @@ namespace {
 // and keeping them moves the inverse, and with it the pivot sequence, in
 // its last bits.
 constexpr double kDropTol = 1e-13;
+// Floor of an updated steepest-edge weight: cancellation in the recurrence
+// must never leave a zero or negative norm for the pricing to divide by.
+constexpr double kMinWeight = 1e-12;
 }  // namespace
+
+void EtaFactor::exact_weights() {
+  w_.assign(m_, 0.0);
+  double* w = w_.data();
+  for (int c = 0; c < m_; ++c) {
+    const double* col = inv_.data() + static_cast<std::size_t>(c) * m_;
+    for (int i = 0; i < m_; ++i) w[i] += col[i] * col[i];
+  }
+}
 
 bool EtaFactor::factorize(const BasisColumns& cols, double pivot_tol) {
   m_ = cols.cols();
@@ -168,6 +180,7 @@ bool EtaFactor::factorize(const BasisColumns& cols, double pivot_tol) {
       col[op.row] = t;
     }
   }
+  exact_weights();
   factored_ = true;
   return true;
 }
@@ -178,9 +191,12 @@ void EtaFactor::reset_diagonal(const double* diag, int m) {
   slot_row_.resize(m);
   for (int i = 0; i < m; ++i) slot_row_[i] = i;
   inv_.assign(static_cast<std::size_t>(m) * m, 0.0);
+  w_.resize(m);
   fscratch_.resize(m);
   for (int i = 0; i < m; ++i) {
-    inv_[static_cast<std::size_t>(i) * m + i] = 1.0 / diag[i];
+    const double d = 1.0 / diag[i];
+    inv_[static_cast<std::size_t>(i) * m + i] = d;
+    w_[i] = d * d;
   }
   factored_ = true;
 }
@@ -243,15 +259,36 @@ bool EtaFactor::append(int row, const double* alpha, const double* rho,
   // Eager product-form update: B'^-1 = E B^-1 applied column by column as a
   // rank-1 outer product. rho[c] is column c's entry in row `row`, so
   // columns where it is zero are untouched (t == 0 leaves every element,
-  // including row `row`, as-is).
+  // including row `row`, as-is). The same pass sums tau = B^-1 rho from the
+  // columns before they change: tau_i is row i's inner product with row
+  // `row`.
   const double inv_piv = 1.0 / vp;
+  double* tau = fscratch_.data();
+  std::fill(tau, tau + m_, 0.0);
+  double rho_norm2 = 0;
   for (int c = 0; c < m_; ++c) {
-    const double t = rho[c] * inv_piv;
-    if (t == 0.0) continue;
+    const double rc = rho[c];
+    if (rc == 0.0) continue;
+    rho_norm2 += rc * rc;
+    const double t = rc * inv_piv;
     double* col = inv_.data() + static_cast<std::size_t>(c) * m_;
-    for (int i = 0; i < m_; ++i) col[i] -= alpha[i] * t;
+    for (int i = 0; i < m_; ++i) {
+      const double v = col[i];
+      tau[i] += v * rc;
+      col[i] = v - alpha[i] * t;
+    }
     col[row] = t;
   }
+  // Row i of the new inverse is rho_i - (alpha_i / alpha_r) rho, and row
+  // `row` is rho / alpha_r, which expands the squared norms as below.
+  double* w = w_.data();
+  for (int i = 0; i < m_; ++i) {
+    const double ratio = alpha[i] * inv_piv;
+    if (ratio == 0.0) continue;
+    const double wi = w[i] - 2.0 * ratio * tau[i] + ratio * ratio * rho_norm2;
+    w[i] = std::max(wi, kMinWeight);
+  }
+  w[row] = std::max(rho_norm2 * inv_piv * inv_piv, kMinWeight);
   ++updates_;
   return true;
 }

@@ -15,6 +15,14 @@
 /// pivot costs O(m^2) however many pivots separate refactorizations, and the
 /// owner refactorizes only for numerical hygiene or when a consistency check
 /// fails. The inverse takes 8 m^2 bytes, which lp::kMaxRows bounds.
+///
+/// The factor also owns the dual steepest-edge weights w_i = ||e_i^T B^-1||^2,
+/// the squared row norms of the inverse that the dual simplex prices its
+/// leaving row by. factorize() and reset_diagonal() set them exactly; each
+/// append() updates them by Forrest and Goldfarb's recurrence ("Steepest-edge
+/// simplex algorithms for linear programming", Math. Programming, 1992),
+/// whose one extra FTRAN, tau = B^-1 rho, it sums in the same pass over the
+/// inverse's columns that applies the rank-1 update.
 #pragma once
 
 #include <utility>
@@ -72,10 +80,14 @@ class EtaFactor {
   /// Applies the product-form update for a pivot at `row` whose FTRANed
   /// entering column is `alpha` (dense, length m). `rho` is row `row` of
   /// the current inverse, e_row^T B^-1, which the owner has just computed
-  /// by btran() to gather the pivot row. Returns false when the pivot
-  /// element is numerically unusable (caller refactorizes).
+  /// by btran() to gather the pivot row. Updates the weights with it.
+  /// Returns false when the pivot element is numerically unusable (caller
+  /// refactorizes); nothing is applied then.
   bool append(int row, const double* alpha, const double* rho,
               double pivot_tol);
+
+  /// Dual steepest-edge weights, w[i] = ||e_i^T B^-1||^2 (length m).
+  const std::vector<double>& weights() const { return w_; }
 
   /// Updates appended since the last factorize()/reset_diagonal().
   int updates() const { return updates_; }
@@ -89,14 +101,19 @@ class EtaFactor {
     int end;
   };
 
+  /// w_ := the squared row norms of inv_, summed column by column.
+  void exact_weights();
+
   std::vector<int> slot_row_;
   int m_ = 0;
   int updates_ = 0;
   bool factored_ = false;
 
   // inv_ is B^-1 column-major (inv_[c*m_ + i] is row i of column c);
-  // fscratch_ is the FTRAN/BTRAN temporary.
+  // w_ its squared row norms; fscratch_ the FTRAN/BTRAN temporary and
+  // append()'s tau.
   std::vector<double> inv_;
+  std::vector<double> w_;
   mutable std::vector<double> fscratch_;
 
   // Factorization workspace (reused across refactorizations): the factor

@@ -365,7 +365,8 @@ Status RevisedCore::iterate(bool phase1) {
 
 /// Bounded-variable dual simplex over the factorized basis. Requires a
 /// dual-feasible basis; repairs primal bound violations of basic variables
-/// one leaving row at a time. A pivot costs one BTRAN + one FTRAN + a sparse
+/// one leaving row at a time, priced by dual steepest edge against the
+/// weights the factor keeps. A pivot costs one BTRAN + one FTRAN + a sparse
 /// row gather, and an infeasibility verdict is certified by an O(nnz)
 /// residual check instead of a refactorization.
 Status RevisedCore::dual_iterate() {
@@ -380,25 +381,24 @@ Status RevisedCore::dual_iterate() {
     if (factor_.updates() >= kRefactorInterval) {
       if (!refresh()) return Status::kIterLimit;
     }
-    // Leaving row: basic variable with the largest bound violation.
+    // Leaving row by dual steepest edge: among basic variables violating a
+    // bound by more than tol, the largest violation^2 / ||e_i^T B^-1||^2.
+    // The division-free comparison viol^2 > best * w_i matches DevexPricing.
     int r = -1;
     bool above = false;
-    double worst = opts_.tol;
+    double best = 0;
+    const double* w = factor_.weights().data();
     for (int i = 0; i < m_; ++i) {
-      const double lo_viol = -beta_[i];
-      if (lo_viol > worst) {
-        worst = lo_viol;
-        r = i;
-        above = false;
+      double viol = -beta_[i];
+      bool hi = false;
+      if (viol <= opts_.tol) {
+        viol = beta_[i] - ub_[basis_[i]];  // -inf for an infinite bound
+        hi = true;
       }
-      const double up = ub_[basis_[i]];
-      if (std::isfinite(up)) {
-        const double hi_viol = beta_[i] - up;
-        if (hi_viol > worst) {
-          worst = hi_viol;
-          r = i;
-          above = true;
-        }
+      if (viol > opts_.tol && viol * viol > best * w[i]) {
+        best = viol * viol / w[i];
+        r = i;
+        above = hi;
       }
     }
     if (r < 0) return Status::kOptimal;

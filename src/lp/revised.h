@@ -7,7 +7,8 @@
 ///  * the shared sparse constraint columns (Problem::columns(), CSC + CSR),
 ///  * the explicit dense inverse of the current basis (EtaFactor), built by
 ///    a Markowitz-ordered sparse Gauss-Jordan factorization and updated in
-///    place by one rank-1 product-form update per pivot,
+///    place by one rank-1 product-form update per pivot, with its squared
+///    row norms, the weights by which the dual simplex picks a leaving row,
 ///  * the dense m-vector of basic values (beta_) and the ncols-vector of
 ///    reduced costs (zrow_), both updated incrementally per pivot.
 ///
@@ -120,10 +121,11 @@ class RevisedCore {
 
   int choose_entering(bool bland) const;
   /// Shared pivot bookkeeping once (r, q) is fixed and ws_.alpha, ws_.rho and
-  /// ws_.rowvals are loaded: inverse update, Devex weights (primal only),
-  /// incremental zrow update, state and basis flips. beta is updated by the
-  /// caller (primal and dual move it differently). Returns false when the
-  /// pivot element is numerically unusable.
+  /// ws_.rowvals are loaded: inverse and dual steepest-edge weight update,
+  /// Devex weights (primal only), incremental zrow update, state and basis
+  /// flips. beta is updated by the caller (primal and dual move it
+  /// differently). Returns false when the pivot element is numerically
+  /// unusable.
   bool apply_pivot(int r, int q, int leave_dir, double enter_val,
                    bool use_devex);
 

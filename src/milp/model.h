@@ -36,8 +36,8 @@ class Model {
   const std::vector<int>& integer_variables() const { return int_vars_; }
 
   /// Branching priority (higher = branched first among fractional
-  /// integers). The window builder raises the alignment indicators d_pq,
-  /// whose big-M rows make the LP relaxation weakest.
+  /// integers). The window builder raises the alignment indicators d_pq:
+  /// fixing one decides every alignment or overlap row of its pair.
   void set_branch_priority(int v, int priority) { priority_[v] = priority; }
   int branch_priority(int v) const { return priority_[v]; }
 

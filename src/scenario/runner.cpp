@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <regex>
@@ -240,12 +241,13 @@ std::vector<Violation> gate_scenario(
 
 namespace {
 
-void write_trend(const Scenario& s, const ScenarioResult& res,
+/// False when the trend file cannot be opened for writing.
+bool write_trend(const Scenario& s, const ScenarioResult& res,
                  const std::vector<MetricSpec>& specs,
                  const std::map<std::string, double>& gold,
                  const std::vector<Violation>& violations,
-                 const std::string& out_dir) {
-  JsonWriter jw(out_dir + "/TREND_" + res.name + ".json");
+                 const std::string& path) {
+  JsonWriter jw(path);
   jw.begin_object();
   jw.field("scenario", res.name);
   jw.field("timestamp_utc", iso_timestamp_utc());
@@ -285,6 +287,7 @@ void write_trend(const Scenario& s, const ScenarioResult& res,
   jw.end_array();
   jw.field("pass", violations.empty());
   jw.end_object();
+  return jw.ok();
 }
 
 }  // namespace
@@ -292,6 +295,12 @@ void write_trend(const Scenario& s, const ScenarioResult& res,
 SweepSummary run_sweep(const std::vector<Scenario>& scenarios,
                        const RunnerOptions& opts) {
   SweepSummary sum;
+  if (opts.write_trends) {
+    // A directory that cannot be made shows up below as one violation per
+    // trend file that cannot be written.
+    std::error_code ec;
+    std::filesystem::create_directories(opts.out_dir, ec);
+  }
   for (const Scenario& s : scenarios) {
     if (opts.log) opts.log("running " + s.name);
     ScenarioResult res = run_scenario(s, opts);
@@ -315,7 +324,10 @@ SweepSummary run_sweep(const std::vector<Scenario>& scenarios,
       violations = gate_scenario(res, specs, gold);
     }
     if (opts.write_trends) {
-      write_trend(s, res, specs, gold, violations, opts.out_dir);
+      const std::string path = opts.out_dir + "/TREND_" + res.name + ".json";
+      if (!write_trend(s, res, specs, gold, violations, path)) {
+        violations.push_back({s.name, "trend", "cannot write " + path});
+      }
     }
     for (const Violation& v : violations) {
       if (opts.log) opts.log("  VIOLATION " + v.str());

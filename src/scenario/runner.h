@@ -42,7 +42,9 @@ struct Violation {
 
 struct RunnerOptions {
   std::string golden_dir;              ///< corpus root (required for gating)
-  std::string out_dir = ".";           ///< TREND_<name>.json destination
+  /// TREND_<name>.json destination, created when missing; a trend file
+  /// that cannot be written is a violation naming it.
+  std::string out_dir = ".";
   bool update_golden = false;          ///< rewrite corpus instead of gating
   bool write_trends = true;
   std::vector<MetricSpec> specs = default_metric_specs();

@@ -18,9 +18,13 @@
 /// processes backend (kCachedRemote), including coalesced dispatch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -270,6 +274,111 @@ TEST_F(StoreFixture, ClearEmptiesAndPersists) {
   }
   cache::CacheStore s(opts());
   EXPECT_EQ(s.entries(), 0u);
+}
+
+// Seeded mutation fuzz of a populated cache.log: byte flips, truncations,
+// and duplicated or reordered records, some with a byte flip on top.
+// Opening the mutated log either throws a typed CacheError or yields a store
+// that serves each key as a miss or as a value once written for it (a
+// reordered or duplicated record may bring back an older one), never a
+// value nobody wrote; and the repaired store keeps working across a reopen.
+TEST_F(StoreFixture, MutatedLogServesWrittenValuesOrMisses) {
+  using Bytes = std::vector<std::uint8_t>;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<Bytes>>
+      written;
+  {
+    Rng rng(31);
+    cache::CacheStore s(opts());
+    for (int i = 0; i < 24; ++i) {
+      const std::uint64_t a = 1 + i % 9;
+      const std::uint64_t b = 100 + i % 9;
+      Bytes v(1 + rng.uniform(40));
+      for (std::uint8_t& x : v) x = static_cast<std::uint8_t>(rng.uniform(256));
+      written[{a, b}].push_back(v);
+      s.put(a, b, std::move(v));
+    }
+  }
+  auto read_log = [&] {
+    std::ifstream in(log_path(), std::ios::binary);
+    return Bytes(std::istreambuf_iterator<char>(in), {});
+  };
+  const Bytes pristine = read_log();
+  // Split into the header and whole records (magic | len | sum | payload).
+  const Bytes header(pristine.begin(),
+                     pristine.begin() + cache::kStoreHeaderSize);
+  std::vector<Bytes> records;
+  for (std::size_t off = cache::kStoreHeaderSize; off < pristine.size();) {
+    std::uint32_t len = 0;
+    for (int k = 3; k >= 0; --k) len = (len << 8) | pristine[off + 4 + k];
+    const std::size_t end = off + cache::kRecordHeaderSize + len;
+    records.emplace_back(pristine.begin() + off, pristine.begin() + end);
+    off = end;
+  }
+  ASSERT_EQ(records.size(), 24u);
+
+  constexpr int kPerKind = 500;
+  int served = 0;
+  for (int kind = 0; kind < 4; ++kind) {
+    for (int iter = 0; iter < kPerKind; ++iter) {
+      const std::string tag =
+          "kind " + std::to_string(kind) + " iter " + std::to_string(iter);
+      Rng rng(1000 * kind + iter);
+      Bytes log;
+      bool flip = kind == 0 || rng.chance(0.5);
+      if (kind == 1) {
+        log.assign(pristine.begin(),
+                   pristine.begin() + rng.uniform(pristine.size()));
+        flip = false;
+      } else {
+        std::vector<Bytes> recs = records;
+        if (kind == 2) {  // duplicate a record at a random boundary
+          const Bytes dup = recs[rng.uniform(recs.size())];
+          recs.insert(recs.begin() + rng.uniform(recs.size() + 1), dup);
+        } else if (kind == 3) {
+          rng.shuffle(recs);
+        }
+        log = header;
+        for (const Bytes& r : recs) log.insert(log.end(), r.begin(), r.end());
+      }
+      if (flip) {
+        const int flips = 1 + static_cast<int>(rng.uniform(3));
+        for (int f = 0; f < flips; ++f) {
+          log[rng.uniform(log.size())] ^=
+              static_cast<std::uint8_t>(1 + rng.uniform(255));
+        }
+      }
+      {
+        std::ofstream out(log_path(), std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char*>(log.data()),
+                  static_cast<std::streamsize>(log.size()));
+      }
+      try {
+        {
+          cache::CacheStore s(opts());
+          for (const auto& [key, values] : written) {
+            auto v = s.lookup(key.first, key.second);
+            if (!v) continue;
+            ++served;
+            EXPECT_NE(std::find(values.begin(), values.end(), *v),
+                      values.end())
+                << tag << ": key " << key.first << " served a value never "
+                << "written for it";
+          }
+          EXPECT_FALSE(s.lookup(1, 1).has_value()) << tag;
+          EXPECT_FALSE(s.lookup(0, 100).has_value()) << tag;
+          s.put(77, 77, bytes({7, 7}));
+        }
+        cache::CacheStore again(opts());
+        EXPECT_EQ(again.lookup(77, 77), std::optional<Bytes>(bytes({7, 7})))
+            << tag << ": the repaired log lost a new record";
+      } catch (const cache::CacheError&) {
+        // A typed refusal is an allowed outcome.
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  // The fuzz must reach the serving path, not only the discard paths.
+  EXPECT_GT(served, 4 * kPerKind);
 }
 
 // ---------------------------------------------------------------------------

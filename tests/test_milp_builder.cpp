@@ -33,6 +33,15 @@ Design make_pair_design(CellArch arch, int offset) {
   return d;
 }
 
+/// Writes the placements a MILP solution chooses into the design.
+void apply_solution(Design& d, const BuiltMilp& built,
+                    const std::vector<double>& x) {
+  const std::vector<Placement> chosen = built.chosen_placements(x);
+  for (std::size_t m = 0; m < built.cells.size(); ++m) {
+    d.set_placement(built.cells[m], chosen[m]);
+  }
+}
+
 WindowProblem whole_core_problem(const Design& d, int lx, int ly) {
   WindowProblem wp;
   wp.design = &d;
@@ -68,11 +77,62 @@ TEST(MilpBuilder, ClosedAlignsPairWhenAlphaHigh) {
   milp::BranchAndBound bnb;
   milp::MipResult r = bnb.solve(built.model, built.make_heuristic(), &warm);
   ASSERT_FALSE(r.x.empty());
-  built.apply(d, r.x);
+  apply_solution(d, built, r.x);
   auto [aligned, ovl] = count_net_alignments(d, 0, wp.params);
   EXPECT_EQ(aligned, 1);
   (void)ovl;
   EXPECT_TRUE(is_legal(d));
+}
+
+// A fixed pin on track 12 between the two tracks a flip-only cell can put
+// its pin on (11 unflipped, 13 flipped): no integer placement aligns the
+// pair, but lambdas of 1/2 average the pin onto track 12, which a big-M row
+// x_p - x_q <= G(1 - d) accepts with d = 1. The per-value Eq. (4) rows give
+// d <= lambda(12) = 0, so the root LP bound is the integer optimum.
+TEST(MilpBuilder, ClosedRootLpCannotAlignAveragedPins) {
+  auto lib = std::make_unique<Library>(build_library(CellArch::kClosedM1));
+  auto nl = std::make_unique<Netlist>(lib.get());
+  const int inv1 = lib->find("INV_X1_SVT");
+  const int inv2 = lib->find("INV_X2_SVT");
+  const Cell& c1 = lib->cell(inv1);
+  const Cell& c2 = lib->cell(inv2);
+  const int fixed = nl->add_instance("f", inv1);
+  const int mov = nl->add_instance("m", inv2);
+  const int left = nl->add_instance("l", inv1);
+  const int right = nl->add_instance("r", inv1);
+  const int net = nl->add_net("n0");
+  nl->connect(net, NetPin{fixed, c1.pin_index("ZN")});
+  nl->connect(net, NetPin{mov, c2.pin_index("A")});
+  // Far pins on either side fix the net's bounding box, so the flip
+  // changes no HPWL, and pair with nothing.
+  nl->connect(net, NetPin{left, c1.pin_index("A")});
+  nl->connect(net, NetPin{right, c1.pin_index("A")});
+  Design d("straddle", Tech::make_7nm(), std::move(lib), std::move(nl), 4,
+           32);
+  d.set_placement(fixed, Placement{10, 1, false});  // ZN on track 12
+  d.set_placement(mov, Placement{10, 2, false});    // A on 11, flipped 13
+  d.set_placement(left, Placement{2, 0, false});
+  d.set_placement(right, Placement{24, 0, false});
+
+  WindowProblem wp = whole_core_problem(d, 0, 0);
+  wp.movable = {mov};
+  wp.allow_move = false;
+  wp.params.alpha = 50;
+  BuiltMilp built = build_window_milp(wp);
+  ASSERT_EQ(built.cands[0].size(), 2u);
+  ASSERT_EQ(built.pairs.size(), 1u);
+  const int d_var = built.pairs[0].d_var;
+
+  lp::Result root = lp::SimplexSolver().solve(built.model.lp());
+  ASSERT_EQ(root.status, lp::Status::kOptimal);
+  EXPECT_NEAR(root.x[d_var], 0.0, 1e-9);
+
+  std::vector<double> warm = built.warm_start(d);
+  milp::BranchAndBound bnb;
+  milp::MipResult r = bnb.solve(built.model, built.make_heuristic(), &warm);
+  ASSERT_EQ(r.status, milp::MipStatus::kOptimal);
+  EXPECT_NEAR(r.x[d_var], 0.0, 1e-9);
+  EXPECT_NEAR(root.objective, r.objective, 1e-6);
 }
 
 TEST(MilpBuilder, ClosedKeepsPlacementWhenAlphaZero) {
@@ -85,7 +145,7 @@ TEST(MilpBuilder, ClosedKeepsPlacementWhenAlphaZero) {
   milp::BranchAndBound bnb;
   milp::MipResult r = bnb.solve(built.model, built.make_heuristic(), &warm);
   ASSERT_FALSE(r.x.empty());
-  built.apply(d, r.x);
+  apply_solution(d, built, r.x);
   // Pure-HPWL optimization can only improve (or preserve) wirelength.
   EXPECT_LE(total_hpwl(d), hpwl0);
 }
@@ -122,7 +182,7 @@ TEST(MilpBuilder, MilpObjectiveNeverWorseThanWarm) {
   ASSERT_FALSE(r.x.empty());
   EXPECT_LE(r.objective, warm_obj + 1e-6);
   EXPECT_TRUE(built.model.is_feasible(r.x, 1e-5));
-  built.apply(d, r.x);
+  apply_solution(d, built, r.x);
   EXPECT_TRUE(is_legal(d));
 }
 
@@ -138,7 +198,7 @@ TEST(MilpBuilder, OpenOverlapRewarded) {
   milp::BranchAndBound bnb;
   milp::MipResult r = bnb.solve(built.model, built.make_heuristic(), &warm);
   ASSERT_FALSE(r.x.empty());
-  built.apply(d, r.x);
+  apply_solution(d, built, r.x);
   auto [overlapped, ovl] = count_net_alignments(d, 0, wp.params);
   EXPECT_EQ(overlapped, 1);
   EXPECT_GE(ovl, 0);
@@ -310,7 +370,7 @@ TEST_P(WindowProperty, SolveIsSafeAndMonotone) {
   ASSERT_FALSE(r.x.empty());
   EXPECT_LE(r.objective, built.model.objective_value(warm) + 1e-6);
   EXPECT_TRUE(built.model.is_feasible(r.x, 1e-5));
-  built.apply(d, r.x);
+  apply_solution(d, built, r.x);
   EXPECT_TRUE(is_legal(d)) << to_string(arch) << " seed " << seed;
 }
 

@@ -8,11 +8,15 @@
 /// or `./build/apps/vm1_sweep --quick --update-golden` (identical output).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "scenario/runner.h"
 
@@ -267,6 +271,55 @@ TEST(ScenarioRun, GatesCleanAgainstCheckedInCorpus) {
   EXPECT_NE(ss.str().find("\"scenario\": \"closedm1_u55\""),
             std::string::npos);
   EXPECT_NE(ss.str().find("\"pass\": true"), std::string::npos);
+}
+
+// --out may name a directory that does not exist yet: the sweep makes it,
+// parents included, and writes the trend file there.
+TEST(ScenarioRun, TrendsGoToAFreshMissingOutDir) {
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) /
+      ("vm1_fresh_out_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  RunnerOptions opts;
+  opts.golden_dir = scenario_golden_dir();
+  opts.out_dir = (root / "nested" / "trends").string();
+  if (std::getenv("VM1_UPDATE_GOLDEN")) opts.update_golden = true;
+
+  SweepSummary sum = run_sweep({probe_scenario()}, opts);
+  for (const Violation& v : sum.violations) ADD_FAILURE() << v.str();
+  EXPECT_TRUE(std::filesystem::is_regular_file(
+      std::filesystem::path(opts.out_dir) / "TREND_closedm1_u55.json"));
+  std::filesystem::remove_all(root);
+}
+
+// A trend file that cannot be written fails the sweep by name, instead of a
+// stderr line and a passing scenario.
+TEST(ScenarioRun, UnwritableTrendIsAViolation) {
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) /
+      ("vm1_blocked_out_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  std::ofstream(root / "file") << "not a directory\n";
+  RunnerOptions opts;
+  opts.golden_dir = scenario_golden_dir();
+  opts.out_dir = (root / "file" / "trends").string();
+  if (std::getenv("VM1_UPDATE_GOLDEN")) opts.update_golden = true;
+
+  SweepSummary sum = run_sweep({probe_scenario()}, opts);
+  EXPECT_FALSE(sum.pass());
+  bool named = false;
+  for (const Violation& v : sum.violations) {
+    if (v.metric == "trend" &&
+        v.detail.find(opts.out_dir + "/TREND_closedm1_u55.json") !=
+            std::string::npos) {
+      named = true;
+    } else {
+      ADD_FAILURE() << v.str();
+    }
+  }
+  EXPECT_TRUE(named) << "no violation names the trend file";
+  std::filesystem::remove_all(root);
 }
 
 TEST(ScenarioRun, SeededRegressionDrillTripsTheGate) {

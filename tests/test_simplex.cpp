@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -759,6 +760,80 @@ TEST(EtaFactorTest, FactorizeCollapseAndUpdateAgree) {
   double again[3] = {1, 2, 1};
   f.ftran(again);
   for (int i = 0; i < 3; ++i) EXPECT_EQ(again[i], x[i]);
+}
+
+// The dual steepest-edge weights must equal ||e_i^T B^-1||^2, recomputed
+// here row by row through btran().
+void expect_weights_are_row_norms(const detail::EtaFactor& f, int m,
+                                  const std::string& when) {
+  ASSERT_EQ(static_cast<int>(f.weights().size()), m) << when;
+  for (int i = 0; i < m; ++i) {
+    std::vector<double> row(m, 0.0);
+    row[i] = 1.0;
+    f.btran(row.data());
+    double norm2 = 0;
+    for (double v : row) norm2 += v * v;
+    EXPECT_NEAR(f.weights()[i], norm2, 1e-9 * norm2) << when << ", row " << i;
+  }
+}
+
+// factorize() and reset_diagonal() set the weights exactly; append() carries
+// them by the Forrest-Goldfarb recurrence through sparse and dense pivot
+// rows alike.
+TEST(EtaFactorTest, SteepestEdgeWeightsAreInverseRowNorms) {
+  constexpr int m = 7;
+  Rng rng(2024);
+  // Diagonally dominant basis with a few off-diagonal entries, so the first
+  // pivot rows are sparse and factorize() has a Markowitz order to find.
+  detail::BasisColumns cols;
+  cols.clear();
+  for (int k = 0; k < m; ++k) {
+    for (int i = 0; i < m; ++i) {
+      if (i == (k + 3) % m) {
+        cols.push(i, 4.0 + rng.uniform_real());
+      } else if (rng.chance(0.25)) {
+        cols.push(i, rng.uniform_real() - 0.5);
+      }
+    }
+    cols.close_column();
+  }
+  detail::EtaFactor f;
+  ASSERT_TRUE(f.factorize(cols, 1e-9));
+  expect_weights_are_row_norms(f, m, "after factorize");
+
+  // Replace basis columns one pivot at a time: two-entry entering columns,
+  // then a dense one, leaving at the row of the largest |alpha| as a
+  // well-conditioned pivot.
+  int dense_rhos = 0;
+  for (int step = 0; step < 10; ++step) {
+    std::vector<double> alpha(m, 0.0);
+    if (step == 6) {
+      for (double& a : alpha) a = 2.0 * rng.uniform_real() - 1.0;
+    } else {
+      alpha[rng.uniform(m)] = 1.0 + rng.uniform_real();
+      alpha[rng.uniform(m)] -= 0.5;
+    }
+    f.ftran(alpha.data());
+    int r = 0;
+    for (int i = 1; i < m; ++i) {
+      if (std::abs(alpha[i]) > std::abs(alpha[r])) r = i;
+    }
+    std::vector<double> rho(m, 0.0);
+    rho[r] = 1.0;
+    f.btran(rho.data());
+    int nnz = 0;
+    for (double v : rho) nnz += v != 0.0;
+    if (nnz == m) ++dense_rhos;
+    ASSERT_TRUE(f.append(r, alpha.data(), rho.data(), 1e-9));
+    expect_weights_are_row_norms(f, m,
+                                 "after append " + std::to_string(step));
+  }
+  EXPECT_GE(dense_rhos, 1) << "no append saw a dense pivot row";
+
+  const double diag[3] = {2.0, -0.5, 4.0};
+  f.reset_diagonal(diag, 3);
+  expect_weights_are_row_norms(f, 3, "after reset_diagonal");
+  EXPECT_DOUBLE_EQ(f.weights()[1], 4.0);
 }
 
 TEST(EtaFactorTest, SingularBasisRejected) {

@@ -176,7 +176,10 @@ double milp_oracle_value(Design& d, const WindowProblem& wp,
   milp::MipResult r = bnb.solve(built.model, built.make_heuristic(), &warm);
   EXPECT_EQ(r.status, milp::MipStatus::kOptimal) << tag;
   EXPECT_FALSE(r.x.empty()) << tag;
-  built.apply(d, r.x);
+  const std::vector<Placement> chosen = built.chosen_placements(r.x);
+  for (std::size_t m = 0; m < built.cells.size(); ++m) {
+    d.set_placement(built.cells[m], chosen[m]);
+  }
   EXPECT_TRUE(is_legal(d)) << tag;
   return restricted_objective(d, nets, wp.params);
 }
