@@ -82,7 +82,7 @@ int main() {
         jw.field("rwl_norm", static_cast<double>(m.rwl_dbu) / init.rwl_dbu);
         jw.field("num_dm1", m.num_dm1);
         jw.field("runtime_s", opt_seconds);
-        jw.field("objective", sf.objective);
+        jw.field("objective", sf.objective.value);
         jw.field("nodes", sm.total_nodes + sf.total_nodes);
         jw.field("lp_iterations", sm.total_lp_iters + sf.total_lp_iters);
         jw.field("dual_pivots", sm.dual_pivots + sf.dual_pivots);

@@ -23,9 +23,16 @@
 #include "util/json_writer.h"
 #include "util/stats.h"
 
-// Baked in per-binary by bench/CMakeLists.txt; fall back for ad-hoc builds.
+// Generated at build time by bench/CMakeLists.txt (bench/provenance.cmake);
+// fall back for ad-hoc builds.
+#if __has_include("bench_provenance.h")
+#include "bench_provenance.h"
+#endif
 #ifndef VM1_GIT_SHA
 #define VM1_GIT_SHA "unknown"
+#endif
+#ifndef VM1_SOURCE_DIGEST
+#define VM1_SOURCE_DIGEST "unknown"
 #endif
 #ifndef VM1_BUILD_TYPE
 #define VM1_BUILD_TYPE "unknown"
@@ -99,6 +106,7 @@ using vm1::iso_timestamp_utc;
 inline void write_run_metadata(JsonWriter& jw) {
   jw.begin_object("run_metadata");
   jw.field("git_sha", VM1_GIT_SHA);
+  jw.field("source_digest", VM1_SOURCE_DIGEST);
   jw.field("timestamp_utc", iso_timestamp_utc());
   jw.field("hardware_threads",
            static_cast<long>(std::thread::hardware_concurrency()));
@@ -109,9 +117,9 @@ inline void write_run_metadata(JsonWriter& jw) {
 /// Stdout twin of write_run_metadata for benches without a JSON file, so
 /// every captured bench log is attributable too.
 inline void print_run_header(const char* bench) {
-  std::printf("%s: git %s, %s, %u hw threads, build %s\n", bench, VM1_GIT_SHA,
-              iso_timestamp_utc().c_str(), std::thread::hardware_concurrency(),
-              VM1_BUILD_TYPE);
+  std::printf("%s: git %s, source %s, %s, %u hw threads, build %s\n", bench,
+              VM1_GIT_SHA, VM1_SOURCE_DIGEST, iso_timestamp_utc().c_str(),
+              std::thread::hardware_concurrency(), VM1_BUILD_TYPE);
 }
 
 /// Dumps the global metric registry (counters, gauges, latency histograms

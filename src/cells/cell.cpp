@@ -21,11 +21,6 @@ int Cell::pin_index(const std::string& pin_name) const {
   return -1;
 }
 
-const PinInfo* Cell::find_pin(const std::string& pin_name) const {
-  int i = pin_index(pin_name);
-  return i < 0 ? nullptr : &pins[i];
-}
-
 int Cell::output_pin() const {
   for (std::size_t i = 0; i < pins.size(); ++i) {
     if (pins[i].dir == PinDir::kOutput) return static_cast<int>(i);

@@ -71,7 +71,6 @@ struct Cell {
 
   /// Index of a pin by name; -1 if absent.
   int pin_index(const std::string& pin_name) const;
-  const PinInfo* find_pin(const std::string& pin_name) const;
   /// Index of the (single) output pin; -1 for fillers.
   int output_pin() const;
 

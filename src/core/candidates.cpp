@@ -4,31 +4,32 @@
 
 namespace vm1 {
 
-std::vector<std::vector<bool>> fixed_site_mask(
-    const Design& d, const Window& win, const std::vector<int>& movable) {
-  std::vector<std::vector<bool>> mask(
-      win.rows(), std::vector<bool>(win.width(), false));
-  std::vector<bool> is_movable(d.netlist().num_instances(), false);
+SiteMask fixed_site_mask(const Design& d, const Window& win,
+                         const std::vector<int>& movable) {
+  SiteMask mask(win.rows(), std::vector<bool>(win.width(), false));
+  const int n = d.netlist().num_instances();
+  std::vector<bool> is_movable(n, false);
   for (int m : movable) is_movable[m] = true;
-
-  const Netlist& nl = d.netlist();
-  for (int i = 0; i < nl.num_instances(); ++i) {
-    if (is_movable[i]) continue;
-    const Placement& p = d.placement(i);
-    if (p.row < win.row0 || p.row > win.row1) continue;
-    const Cell& c = nl.cell_of(i);
-    int lo = std::max(p.x, win.x0);
-    int hi = std::min(p.x + c.width_sites, win.x1);
-    for (int s = lo; s < hi; ++s) {
-      mask[p.row - win.row0][s - win.x0] = true;
-    }
+  for (int i = 0; i < n; ++i) {
+    if (!is_movable[i]) mark_fixed_sites(d, i, win, mask);
   }
   return mask;
 }
 
+void mark_fixed_sites(const Design& d, int inst, const Window& win,
+                      SiteMask& mask) {
+  const Placement& p = d.placement(inst);
+  if (p.row < win.row0 || p.row > win.row1) return;
+  const int lo = std::max(p.x, win.x0);
+  const int hi =
+      std::min(p.x + d.netlist().cell_of(inst).width_sites, win.x1);
+  std::vector<bool>& row = mask[p.row - win.row0];
+  for (int s = lo; s < hi; ++s) row[s - win.x0] = true;
+}
+
 std::vector<Candidate> enumerate_candidates(
     const Design& d, int inst, const Window& win,
-    const std::vector<std::vector<bool>>& fixed_mask, int lx, int ly,
+    const SiteMask& fixed_mask, int lx, int ly,
     bool allow_move, bool allow_flip) {
   const Placement cur = d.placement(inst);
   const int w = d.netlist().cell_of(inst).width_sites;

@@ -31,11 +31,22 @@ struct Window {
   }
 };
 
+/// Site occupancy of one window, indexed [row - row0][site - x0]; true =
+/// blocked.
+using SiteMask = std::vector<std::vector<bool>>;
+
 /// Occupancy of the window's sites by *fixed* cells (movable cells'
-/// current sites are free for re-assignment). Indexed [row - row0]
-/// [site - x0]; true = blocked.
-std::vector<std::vector<bool>> fixed_site_mask(
-    const Design& d, const Window& win, const std::vector<int>& movable);
+/// current sites are free for re-assignment). Scans every instance; a DistOpt
+/// pass takes all its windows' masks from one scan instead
+/// (window_fixed_masks in core/window.h).
+SiteMask fixed_site_mask(const Design& d, const Window& win,
+                         const std::vector<int>& movable);
+
+/// Marks in `mask` (sized for `win`) the sites of `win` that instance
+/// `inst` covers. fixed_site_mask and window_fixed_masks both mark through
+/// it, so the two agree site for site.
+void mark_fixed_sites(const Design& d, int inst, const Window& win,
+                      SiteMask& mask);
 
 /// Enumerates candidates for `inst`:
 ///  * |x - x_cur| <= lx, |row - row_cur| <= ly;
@@ -45,7 +56,7 @@ std::vector<std::vector<bool>> fixed_site_mask(
 /// The current placement is always candidate 0.
 std::vector<Candidate> enumerate_candidates(
     const Design& d, int inst, const Window& win,
-    const std::vector<std::vector<bool>>& fixed_mask, int lx, int ly,
+    const SiteMask& fixed_mask, int lx, int ly,
     bool allow_move, bool allow_flip);
 
 }  // namespace vm1

@@ -144,11 +144,17 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
   // Incremental engine (see core/incremental.h). The state is owned by the
   // caller (vm1opt or a test) so memo entries and dirty generations persist
   // across passes; without one this pass degenerates to full re-solve.
-  // The processes backend needs incident nets regardless: every request
-  // carries the canonical window signature as a replica-consistency check.
+  // The processes backend needs the signature inputs regardless: every
+  // request carries the canonical window signature as a replica-consistency
+  // check. The fixed-site masks come from one scan over the design and stay
+  // exact through this pass's apply phases (see window_fixed_masks).
   IncrementalState* inc = opts.incremental ? opts.inc : nullptr;
   std::vector<std::vector<int>> incident_nets;
-  if (inc || coord) incident_nets = window_incident_nets(grid, d.netlist());
+  std::vector<SiteMask> fixed_masks;
+  if (inc || coord) {
+    incident_nets = window_incident_nets(grid, d.netlist());
+    fixed_masks = window_fixed_masks(grid, d);
+  }
   if (inc) inc->bind(d);
   // The incremental state persists across passes; report this pass's
   // eviction delta, not the lifetime total.
@@ -240,7 +246,8 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
         // the request so the worker can prove its replica agrees.
         job.sig = window_signature(d, grid.windows[job.in.widx],
                                    job.in.movable,
-                                   incident_nets[job.in.widx], opts);
+                                   incident_nets[job.in.widx],
+                                   fixed_masks[job.in.widx], opts);
         job.sig_valid = true;
         if (inc) {
           if (const WindowMemo* m = inc->lookup(job.sig)) {
@@ -612,9 +619,9 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
     memo_evict_metric.add(stats.memo_evictions);
   }
 
-  stats.objective = evaluate_objective(d, opts.params).value;
+  stats.objective = evaluate_objective(d, opts.params);
   stats.seconds = timer.seconds();
-  objective_metric.set(stats.objective);
+  objective_metric.set(stats.objective.value);
   return stats;
 }
 

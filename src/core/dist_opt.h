@@ -173,7 +173,7 @@ struct DistOptStats {
   /// This pass's distributed-backend transport counters (all zero for the
   /// threads backend).
   dist::CoordinatorStats remote;
-  double objective = 0;      ///< full-design objective after this DistOpt
+  ObjectiveBreakdown objective;  ///< full-design objective after this pass
   double seconds = 0;
 
   /// Sum of the outcome buckets; always equals `windows`.

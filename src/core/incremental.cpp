@@ -100,6 +100,7 @@ void IncrementalState::clear() {
 WindowSig window_signature(const Design& d, const Window& win,
                            const std::vector<int>& movable,
                            const std::vector<int>& incident_nets,
+                           const SiteMask& fixed_mask,
                            const DistOptOptions& opts) {
   SignatureHasher h;
 
@@ -161,10 +162,9 @@ WindowSig window_signature(const Design& d, const Window& win,
   // sharing a net with any movable cell, so net dirtiness alone cannot
   // see them — the mask makes the signature exact. Bits are packed into
   // words so the hash cost stays proportional to the window area.
-  std::vector<std::vector<bool>> mask = fixed_site_mask(d, win, movable);
   std::uint64_t word = 0;
   int bits = 0;
-  for (const std::vector<bool>& row : mask) {
+  for (const std::vector<bool>& row : fixed_mask) {
     for (bool b : row) {
       word = (word << 1) | (b ? 1u : 0u);
       if (++bits == 64) {

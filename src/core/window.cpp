@@ -17,6 +17,10 @@ WindowGrid partition_windows(const Design& d, int tx, int ty, int bw,
 
   grid.grid_x = (sites - tx + bw - 1) / bw;
   grid.grid_y = (rows - ty + bh - 1) / bh;
+  grid.tx = tx;
+  grid.ty = ty;
+  grid.bw = bw;
+  grid.bh = bh;
 
   for (int wy = 0; wy < grid.grid_y; ++wy) {
     for (int wx = 0; wx < grid.grid_x; ++wx) {
@@ -87,6 +91,36 @@ std::vector<std::vector<int>> window_incident_nets(const WindowGrid& grid,
     nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
   }
   return incident;
+}
+
+std::vector<SiteMask> window_fixed_masks(const WindowGrid& grid,
+                                         const Design& d) {
+  std::vector<SiteMask> masks;
+  masks.reserve(grid.windows.size());
+  for (const Window& w : grid.windows) {
+    masks.emplace_back(w.rows(), std::vector<bool>(w.width(), false));
+  }
+  const Netlist& nl = d.netlist();
+  std::vector<bool> movable(nl.num_instances(), false);
+  for (const std::vector<int>& cells : grid.movable) {
+    for (int inst : cells) movable[inst] = true;
+  }
+  for (int i = 0; i < nl.num_instances(); ++i) {
+    if (movable[i]) continue;
+    const Placement& p = d.placement(i);
+    if (p.row < 0 || p.row >= d.num_rows()) continue;
+    const int lo = std::max(p.x, 0);
+    const int hi =
+        std::min(p.x + nl.cell_of(i).width_sites, d.sites_per_row());
+    if (lo >= hi) continue;
+    const int wy = (p.row - grid.ty) / grid.bh;
+    for (int wx = (lo - grid.tx) / grid.bw; wx <= (hi - 1 - grid.tx) / grid.bw;
+         ++wx) {
+      const std::size_t idx = static_cast<std::size_t>(wy) * grid.grid_x + wx;
+      mark_fixed_sites(d, i, grid.windows[idx], masks[idx]);
+    }
+  }
+  return masks;
 }
 
 }  // namespace vm1

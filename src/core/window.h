@@ -22,6 +22,13 @@ struct WindowGrid {
   std::vector<std::vector<int>> movable;  ///< per window: movable insts
   int grid_x = 0;  ///< number of window columns
   int grid_y = 0;  ///< number of window rows
+  /// Pitch and origin: window (wx, wy) covers sites [tx + wx*bw,
+  /// tx + (wx+1)*bw) of rows [ty + wy*bh, ty + (wy+1)*bh), clipped to the
+  /// core, with tx in [-(bw-1), 0] and ty in [-(bh-1), 0].
+  int tx = 0;
+  int ty = 0;
+  int bw = 1;
+  int bh = 1;
 };
 
 /// Partitions the core into bw-site x bh-row windows with offset (tx, ty)
@@ -40,5 +47,15 @@ std::vector<std::vector<int>> diagonal_batches(const WindowGrid& grid);
 /// window's accepted solution (including diagonal-batch neighbors).
 std::vector<std::vector<int>> window_incident_nets(const WindowGrid& grid,
                                                    const Netlist& nl);
+
+/// Per window: fixed_site_mask(d, window, movable), from one scan over the
+/// instances instead of one per window. Only a cell that is movable in no
+/// window can block a window's sites (a movable cell lies inside its own
+/// window, and windows are disjoint), so each such cell is marked into the
+/// windows it overlaps. The masks stay exact for the whole DistOpt pass:
+/// every apply path keeps a window's movable cells inside that window, and
+/// no other cell moves (DESIGN.md §3.3).
+std::vector<SiteMask> window_fixed_masks(const WindowGrid& grid,
+                                         const Design& d);
 
 }  // namespace vm1

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/candidates.h"
 #include "core/dist_opt.h"
 #include "core/incremental.h"
 #include "core/window_solve.h"
@@ -174,9 +175,10 @@ std::optional<WireBatchEntry> process_request(const Design* design,
   sig_opts.greedy_fallback = rq.greedy_fallback;
   sig_opts.params = rq.job.params;
   sig_opts.mip = rq.job.mip;
-  WindowSig sig =
-      window_signature(*design, rq.job.window, rq.job.movable,
-                       incident_nets_of(*design, rq.job.movable), sig_opts);
+  WindowSig sig = window_signature(
+      *design, rq.job.window, rq.job.movable,
+      incident_nets_of(*design, rq.job.movable),
+      fixed_site_mask(*design, rq.job.window, rq.job.movable), sig_opts);
   if (sig.a != rq.expected_sig.a || sig.b != rq.expected_sig.b) {
     desyncs_metric.add();
     span.arg("outcome", "desync");

@@ -306,7 +306,15 @@ MipResult BranchAndBound::solve(const Model& model,
   static obs::Counter& cold_metric = obs::counter("milp.cold_restarts");
   static obs::Counter& rc_fixed_metric = obs::counter("milp.rc_fixed");
   static obs::Counter& incumbents_metric = obs::counter("milp.incumbents");
+  // One counter per MipStatus, in enum order; they sum to milp.solves.
+  static obs::Counter* status_metric[] = {
+      &obs::counter("milp.status.optimal"),
+      &obs::counter("milp.status.feasible"),
+      &obs::counter("milp.status.infeasible"),
+      &obs::counter("milp.status.no_solution"),
+  };
   solves_metric.add();
+  status_metric[static_cast<int>(result.status)]->add();
   nodes_metric.add(result.nodes_explored);
   lp_iters_metric.add(result.lp_iterations);
   warm_metric.add(result.warm_solves);

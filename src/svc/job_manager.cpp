@@ -45,6 +45,9 @@ void JobManagerOptions::validate() const {
     bad("deadline_poll_sec must be > 0, got " +
         std::to_string(deadline_poll_sec));
   }
+  if (keep_finished <= 0) {
+    bad("keep_finished must be > 0, got " + std::to_string(keep_finished));
+  }
 }
 
 JobManager::JobManager(JobManagerOptions opts)
@@ -62,7 +65,9 @@ JobManager::JobManager(JobManagerOptions opts)
 JobManager::~JobManager() { drain(true); }
 
 JobManager::Submission JobManager::submit(JobSpec spec) {
+  std::vector<Design> released;  // freed after the lock is released
   std::lock_guard<std::mutex> lock(mu_);
+  released.swap(released_);
   Submission sub;
   if (draining_) {
     sub.reason = "service draining";
@@ -100,6 +105,7 @@ JobManager::Submission JobManager::submit(JobSpec spec) {
   sub.accepted = true;
   sub.id = job->id;
   queue_.push_back(job->id);
+  live_.insert(job->id);
   jobs_.emplace(job->id, std::move(job));
   metrics().admitted.add();
   metrics().queue_depth.set(admission_.queue_depth());
@@ -258,6 +264,20 @@ void JobManager::finish_locked(Job& job, dist::JobState state,
   }
   metrics().latency_sec.observe(job.seconds);
   metrics().queue_depth.set(admission_.queue_depth());
+  // Only a run reads the design. The next submit() frees it, outside the
+  // lock: in the service that is the thread that decoded it. Freed on the
+  // executor instead, it cost several times as much, contending with the
+  // next decode for the same malloc arena on the executor's critical path.
+  if (job.spec.design) {
+    released_.push_back(std::move(*job.spec.design));
+    job.spec.design.reset();
+  }
+  live_.erase(job.id);
+  finished_.push_back(job.id);
+  while (finished_.size() > static_cast<std::size_t>(opts_.keep_finished)) {
+    jobs_.erase(finished_.front());
+    finished_.pop_front();
+  }
   terminal_cv_.notify_all();
   work_cv_.notify_all();
 }
@@ -273,20 +293,21 @@ void JobManager::watcher_loop() {
         return;
       }
       const double now = clock_.seconds();
-      for (auto& [id, job] : jobs_) {
-        if (dist::job_state_terminal(job->state)) continue;
-        if (job->deadline_at <= 0 || now < job->deadline_at) continue;
-        if (job->state == dist::JobState::kQueued) {
-          job->deadline_requested = true;
-          finish_locked(*job, dist::JobState::kDeadlineExceeded,
+      // Advance before finish_locked erases the current id from live_.
+      for (auto it = live_.begin(); it != live_.end();) {
+        Job& job = *jobs_.at(*it++);
+        if (job.deadline_at <= 0 || now < job.deadline_at) continue;
+        if (job.state == dist::JobState::kQueued) {
+          job.deadline_requested = true;
+          finish_locked(job, dist::JobState::kDeadlineExceeded,
                         "deadline expired while queued",
                         /*was_queued=*/true);
-        } else if (!job->deadline_requested) {
+        } else if (!job.deadline_requested) {
           // Running (or about to): trip the cancellation token; vm1opt
           // stops at the next window boundary and run_job maps the clean
           // return to kDeadlineExceeded.
-          job->deadline_requested = true;
-          job->cancel.store(true, std::memory_order_relaxed);
+          job.deadline_requested = true;
+          job.cancel.store(true, std::memory_order_relaxed);
         }
       }
     }
@@ -352,14 +373,8 @@ int JobManager::queue_depth() const {
 
 bool JobManager::wait_all_terminal(double timeout_sec) {
   std::unique_lock<std::mutex> lock(mu_);
-  auto all_terminal = [this] {
-    for (const auto& [id, job] : jobs_) {
-      if (!dist::job_state_terminal(job->state)) return false;
-    }
-    return true;
-  };
-  return terminal_cv_.wait_for(
-      lock, std::chrono::duration<double>(timeout_sec), all_terminal);
+  return terminal_cv_.wait_for(lock, std::chrono::duration<double>(timeout_sec),
+                               [this] { return live_.empty(); });
 }
 
 void JobManager::drain(bool cancel_queued) {

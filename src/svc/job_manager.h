@@ -24,6 +24,12 @@
 /// stops at the next window boundary exactly as an external cancel would;
 /// a job still queued past its deadline goes terminal directly.
 ///
+/// Retention: a job's design is freed by the first submit() after it goes
+/// terminal, and only the `keep_finished` most recent terminal jobs stay
+/// queryable, so a long-lived service holds a bounded set of outcomes and
+/// its bookkeeping costs the same after its millionth job as after its
+/// first.
+///
 /// SLO surface (obs): svc.queue_depth, svc.jobs_{admitted,rejected,
 /// completed,failed,cancelled,deadline_exceeded}, svc.job_latency_sec,
 /// and per-tenant svc.tenant.<name>.windows_served and
@@ -34,10 +40,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,6 +76,9 @@ struct JobManagerOptions {
   CacheBackend* cache = nullptr;
   /// Deadline watcher tick.
   double deadline_poll_sec = 0.02;
+  /// Terminal jobs kept for status() and result(), the oldest dropped
+  /// first; a dropped job reads as unknown.
+  int keep_finished = 1024;
 
   void validate() const;  ///< throws std::invalid_argument
 };
@@ -90,12 +101,15 @@ class JobManager {
   /// tenant, draining) is a normal return, not an exception.
   Submission submit(JobSpec spec);
 
+  /// nullopt for an id never issued or a terminal job dropped past
+  /// `keep_finished`.
   std::optional<JobInfo> status(std::uint64_t id) const;
   /// Snapshot outcome; `placements` filled only once the job is kDone.
+  /// nullopt as for status().
   std::optional<JobOutcome> result(std::uint64_t id) const;
   /// Requests cancellation. Queued jobs go terminal immediately; running
   /// jobs stop at the next window boundary. Returns false for unknown ids
-  /// (cancelling an already-terminal job is a harmless true).
+  /// (cancelling a kept terminal job is a harmless true).
   bool cancel(std::uint64_t id);
 
   /// Cumulative windows served per tenant (the fair-share account).
@@ -141,6 +155,9 @@ class JobManager {
   /// Picks the next claimable queued job (tenant-with-nothing-running
   /// preferred, then FIFO). Caller holds mu_.
   Job* claim_locked();
+  /// Makes `job` terminal, hands its design to the next submit() to free
+  /// and drops the oldest kept terminal jobs past `keep_finished` (never
+  /// `job` itself). Caller holds mu_.
   void finish_locked(Job& job, dist::JobState state, std::string reason,
                      bool was_queued);
 
@@ -152,7 +169,11 @@ class JobManager {
   mutable std::mutex mu_;
   std::condition_variable work_cv_;      ///< executors: queued job / drain
   std::condition_variable terminal_cv_;  ///< waiters: a job went terminal
+  /// Live jobs and the kept terminal ones.
   std::map<std::uint64_t, std::unique_ptr<Job>> jobs_;
+  std::set<std::uint64_t> live_;         ///< ids not yet terminal
+  std::deque<std::uint64_t> finished_;   ///< kept terminal ids, oldest first
+  std::vector<Design> released_;         ///< finished designs to free
   std::vector<std::uint64_t> queue_;     ///< FIFO of queued job ids
   std::map<std::string, int> running_per_tenant_;
   std::uint64_t next_id_ = 1;

@@ -7,7 +7,9 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace vm1::milp {
@@ -153,6 +155,70 @@ TEST(BranchAndBound, NodeLimitReportsFeasible) {
   } else {
     EXPECT_EQ(r.status, MipStatus::kNoSolution);
   }
+}
+
+// Each solve adds one to the counter of its MipStatus next to milp.solves,
+// so the status counters sum to milp.solves and show truncated windows
+// without a struct field.
+TEST(BranchAndBound, StatusCountersSumToSolves) {
+  const char* const kNames[] = {"milp.solves", "milp.status.optimal",
+                                "milp.status.feasible",
+                                "milp.status.infeasible",
+                                "milp.status.no_solution"};
+  auto read = [&] {
+    std::vector<long> v;
+    for (const char* n : kNames) v.push_back(obs::counter(n).value());
+    return v;
+  };
+  const std::vector<long> before = read();
+
+  Model optimal;  // min -3a - 2b s.t. a + b <= 1
+  int a = optimal.add_binary(-3, "a");
+  int b = optimal.add_binary(-2, "b");
+  optimal.add_constraint({{a, 1.0}, {b, 1.0}}, lp::Sense::kLe, 1);
+  EXPECT_EQ(solve(optimal).status, MipStatus::kOptimal);
+
+  Model infeasible;  // a + b == 1 with both held at 0
+  int c = infeasible.add_binary(0, "c");
+  int e = infeasible.add_binary(0, "e");
+  infeasible.add_constraint({{c, 1.0}, {e, 1.0}}, lp::Sense::kEq, 1);
+  infeasible.add_constraint({{c, 1.0}}, lp::Sense::kLe, 0);
+  infeasible.add_constraint({{e, 1.0}}, lp::Sense::kLe, 0);
+  EXPECT_EQ(solve(infeasible).status, MipStatus::kInfeasible);
+
+  // A knapsack whose root LP is fractional needs more than one node: a
+  // one-node cap ends on the all-zero warm start as kFeasible, and a
+  // zero-node cap with no incumbent as kNoSolution.
+  Rng rng(5);
+  Model knapsack;
+  std::vector<std::pair<int, double>> row;
+  for (int i = 0; i < 18; ++i) {
+    int x = knapsack.add_binary(-(1.0 + static_cast<double>(rng.uniform(9))));
+    row.emplace_back(x, 1.0 + static_cast<double>(rng.uniform(4)));
+  }
+  knapsack.add_constraint(row, lp::Sense::kLe, 11);
+  BranchAndBound::Options one_node;
+  one_node.max_nodes = 1;
+  const std::vector<double> zero(knapsack.num_variables(), 0.0);
+  MipResult capped = BranchAndBound(one_node).solve(knapsack, nullptr, &zero);
+  EXPECT_EQ(capped.status, MipStatus::kFeasible);
+  EXPECT_EQ(capped.nodes_explored, 1);
+  BranchAndBound::Options no_node;
+  no_node.max_nodes = 0;
+  EXPECT_EQ(BranchAndBound(no_node).solve(knapsack).status,
+            MipStatus::kNoSolution);
+
+  const std::vector<long> after = read();
+  std::vector<long> delta(after.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    delta[i] = after[i] - before[i];
+  }
+  EXPECT_EQ(delta[0], 4);
+  EXPECT_EQ(delta[1], 1) << "optimal";
+  EXPECT_EQ(delta[2], 1) << "feasible";
+  EXPECT_EQ(delta[3], 1) << "infeasible";
+  EXPECT_EQ(delta[4], 1) << "no_solution";
+  EXPECT_EQ(delta[1] + delta[2] + delta[3] + delta[4], delta[0]);
 }
 
 // The LP engine refuses a relaxation of more than lp::kMaxRows rows; the

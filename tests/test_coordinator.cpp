@@ -178,8 +178,9 @@ PreparedWindow prepare_window(const Design& d, const DistOptOptions& o) {
   pw.request.job = pw.job;
   pw.request.greedy_fallback = o.greedy_fallback;
   pw.request.faults = fault::config();
-  pw.request.expected_sig =
-      window_signature(d, pw.job.window, pw.job.movable, nets[widx], o);
+  pw.request.expected_sig = window_signature(
+      d, pw.job.window, pw.job.movable, nets[widx],
+      fixed_site_mask(d, pw.job.window, pw.job.movable), o);
   return pw;
 }
 
@@ -390,7 +391,7 @@ TEST_F(CoordinatorEndToEnd, ProcessesPassMatchesThreadsBitExactly) {
   for (std::size_t i = 0; i < dp.placements().size(); ++i) {
     EXPECT_EQ(dp.placements()[i], dt.placements()[i]) << "instance " << i;
   }
-  EXPECT_EQ(sp.objective, st.objective);
+  EXPECT_EQ(sp.objective.value, st.objective.value);
   EXPECT_EQ(sp.outcome_total(), sp.windows);
   EXPECT_EQ(sp.solved, st.solved);
   EXPECT_GT(sp.remote.replies, 0) << "nothing actually solved remotely";
@@ -421,7 +422,7 @@ TEST_F(CoordinatorEndToEnd, BrokenWorkerBinaryDegradesToAllLocal) {
   for (std::size_t i = 0; i < dp.placements().size(); ++i) {
     EXPECT_EQ(dp.placements()[i], dt.placements()[i]) << "instance " << i;
   }
-  EXPECT_EQ(sp.objective, st.objective);
+  EXPECT_EQ(sp.objective.value, st.objective.value);
 }
 
 TEST_F(CoordinatorFaults, QuarterRateTransportStormIsAbsorbedBitExactly) {
@@ -468,7 +469,7 @@ TEST_F(CoordinatorFaults, QuarterRateTransportStormIsAbsorbedBitExactly) {
   for (std::size_t i = 0; i < dp.placements().size(); ++i) {
     EXPECT_EQ(dp.placements()[i], dt.placements()[i]) << "instance " << i;
   }
-  EXPECT_EQ(sp.objective, st.objective);
+  EXPECT_EQ(sp.objective.value, st.objective.value);
   EXPECT_EQ(sp.solved, st.solved);
   EXPECT_TRUE(is_legal(dp));
 }
@@ -495,7 +496,7 @@ TEST_F(CoordinatorFaults, ConnectRefusedStormDegradesToLocalBitExactly) {
   for (std::size_t i = 0; i < dp.placements().size(); ++i) {
     EXPECT_EQ(dp.placements()[i], dt.placements()[i]) << "instance " << i;
   }
-  EXPECT_EQ(sp.objective, st.objective);
+  EXPECT_EQ(sp.objective.value, st.objective.value);
   EXPECT_TRUE(is_legal(dp));
 }
 
@@ -522,7 +523,7 @@ TEST_F(CoordinatorFaults, MidFramePartitionDropsBytesButStaysBitExact) {
   for (std::size_t i = 0; i < dp.placements().size(); ++i) {
     EXPECT_EQ(dp.placements()[i], dt.placements()[i]) << "instance " << i;
   }
-  EXPECT_EQ(sp.objective, st.objective);
+  EXPECT_EQ(sp.objective.value, st.objective.value);
   EXPECT_TRUE(is_legal(dp));
 }
 
@@ -575,7 +576,8 @@ PreparedBatch prepare_batch(const Design& d, const DistOptOptions& o,
     rj.greedy_fallback = o.greedy_fallback;
     rj.expected_sig = window_signature(
         d, b.jobs[i].window, b.jobs[i].movable,
-        nets[static_cast<std::size_t>(b.jobs[i].widx)], o);
+        nets[static_cast<std::size_t>(b.jobs[i].widx)],
+        fixed_site_mask(d, b.jobs[i].window, b.jobs[i].movable), o);
     b.remote.push_back(rj);
   }
   return b;
@@ -693,7 +695,7 @@ TEST_F(CoordinatorFaults, CoordinatorReusableAcrossPassesAfterStorm) {
 
   DistOptStats first = run_pass(d, o, &coord);
   EXPECT_EQ(first.outcome_total(), first.windows);
-  double obj_after_first = first.objective;
+  double obj_after_first = first.objective.value;
 
   // Second pass on the mutated design: replicas rebind via the pass
   // digest, respawned workers keep serving, and the objective never
@@ -702,7 +704,7 @@ TEST_F(CoordinatorFaults, CoordinatorReusableAcrossPassesAfterStorm) {
   o.ty = 1;
   DistOptStats second = run_pass(d, o, &coord);
   EXPECT_EQ(second.outcome_total(), second.windows);
-  EXPECT_LE(second.objective, obj_after_first + 1e-9);
+  EXPECT_LE(second.objective.value, obj_after_first + 1e-9);
   EXPECT_TRUE(is_legal(d));
 }
 

@@ -36,7 +36,7 @@ TEST(DistOpt, ObjectiveDoesNotIncrease) {
   DistOptOptions opts = fast_opts();
   double before = evaluate_objective(d, opts.params).value;
   DistOptStats stats = dist_opt(d, opts, nullptr);
-  EXPECT_LE(stats.objective, before + 1e-6);
+  EXPECT_LE(stats.objective.value, before + 1e-6);
   EXPECT_GT(stats.windows, 0);
 }
 
@@ -94,7 +94,7 @@ TEST(DistOpt, OpenM1ArchRuns) {
   opts.params.alpha = 30;
   double before = evaluate_objective(d, opts.params).value;
   DistOptStats stats = dist_opt(d, opts, nullptr);
-  EXPECT_LE(stats.objective, before + 1e-6);
+  EXPECT_LE(stats.objective.value, before + 1e-6);
   EXPECT_TRUE(is_legal(d));
 }
 
@@ -129,7 +129,7 @@ TEST(DistOpt, ResultIndependentOfThreadCount) {
   EXPECT_EQ(s1.windows_solved, s3.windows_solved);
   EXPECT_EQ(s1.total_nodes, s3.total_nodes);
   EXPECT_EQ(s1.total_lp_iters, s3.total_lp_iters);
-  EXPECT_DOUBLE_EQ(s1.objective, s3.objective);
+  EXPECT_DOUBLE_EQ(s1.objective.value, s3.objective.value);
 }
 
 TEST(DistOpt, OptionsValidationRejectsGarbage) {
@@ -193,7 +193,7 @@ TEST(DistOptIncremental, RepeatedPassesConvergeToAllSkipped) {
     DistOptStats si = dist_opt(d_inc, oi, nullptr);
     DistOptStats sf = dist_opt(d_full, of, nullptr);
     ASSERT_EQ(d_inc.placements(), d_full.placements()) << "pass " << p;
-    EXPECT_DOUBLE_EQ(si.objective, sf.objective) << "pass " << p;
+    EXPECT_DOUBLE_EQ(si.objective.value, sf.objective.value) << "pass " << p;
     EXPECT_EQ(si.outcome_total(), si.windows) << "pass " << p;
     EXPECT_EQ(sf.outcome_total(), sf.windows) << "pass " << p;
     EXPECT_EQ(sf.skipped, 0) << "full mode must never skip";

@@ -162,7 +162,7 @@ TEST(FaultedDistOpt, NoSolutionFaultDegradesToFallbacks) {
   EXPECT_EQ(s.solved, 0);  // every MILP answer was discarded
   EXPECT_GT(s.fallback_rounding + s.fallback_greedy + s.kept, 0);
   EXPECT_GT(s.faults_injected, 0);
-  EXPECT_LE(s.objective, before + 1e-6);
+  EXPECT_LE(s.objective.value, before + 1e-6);
   EXPECT_TRUE(is_legal(d));
 }
 
@@ -175,7 +175,7 @@ TEST(FaultedDistOpt, NanObjectiveFaultNeverCorrupts) {
   DistOptStats s = dist_opt(d, opts, nullptr);
   EXPECT_EQ(s.outcome_total(), s.windows);
   EXPECT_EQ(s.solved, 0);
-  EXPECT_LE(s.objective, before + 1e-6);
+  EXPECT_LE(s.objective.value, before + 1e-6);
   EXPECT_TRUE(is_legal(d));
 }
 
@@ -217,7 +217,7 @@ TEST(FaultedDistOpt, LpTimeoutFaultDegradesGracefully) {
   double before = evaluate_objective(d, opts.params).value;
   DistOptStats s = dist_opt(d, opts, nullptr);
   EXPECT_EQ(s.outcome_total(), s.windows);
-  EXPECT_LE(s.objective, before + 1e-6);
+  EXPECT_LE(s.objective.value, before + 1e-6);
   EXPECT_TRUE(is_legal(d));
 }
 
@@ -233,7 +233,7 @@ TEST(FaultedDistOpt, GreedyFallbackReachedWhenRoundingDisabled) {
   EXPECT_EQ(s.outcome_total(), s.windows);
   EXPECT_EQ(s.fallback_rounding, 0);
   EXPECT_GT(s.fallback_greedy, 0);
-  EXPECT_LE(s.objective, before + 1e-6);
+  EXPECT_LE(s.objective.value, before + 1e-6);
   EXPECT_TRUE(is_legal(d));
 }
 

@@ -524,6 +524,40 @@ TEST_F(SvcJobManager, DrainCancelsQueuedFinishesRunningThenRejects) {
   EXPECT_EQ(late.reason, "service draining");
 }
 
+TEST_F(SvcJobManager, KeepsOnlyTheNewestFinishedJobs) {
+  JobManagerOptions bad = threads_manager({TenantConfig{"t", 1, 8}});
+  bad.keep_finished = 0;
+  EXPECT_THROW(JobManager{bad}, std::invalid_argument);
+
+  // One executor and one tenant: the jobs run, and finish, in submission
+  // order, so with two kept the first is the one dropped.
+  JobManagerOptions o = threads_manager({TenantConfig{"t", 1, 8}});
+  o.keep_finished = 2;
+  JobManager mgr(o);
+  std::vector<std::uint64_t> ids;
+  std::vector<Design> references;
+  for (std::uint64_t seed = 14; seed < 17; ++seed) {
+    references.push_back(placed_design(seed));
+    JobManager::Submission sub =
+        mgr.submit(fast_spec("t", duplicate(references.back())));
+    ASSERT_TRUE(sub.accepted) << sub.reason;
+    ids.push_back(sub.id);
+  }
+  ASSERT_TRUE(mgr.wait_all_terminal(120.0));
+
+  EXPECT_FALSE(mgr.status(ids[0]).has_value());
+  EXPECT_FALSE(mgr.result(ids[0]).has_value());
+  EXPECT_FALSE(mgr.cancel(ids[0]));
+  for (std::size_t k = 1; k < ids.size(); ++k) {
+    std::optional<JobOutcome> out = mgr.result(ids[k]);
+    ASSERT_TRUE(out.has_value()) << "job " << k;
+    EXPECT_EQ(out->state, dist::JobState::kDone);
+    Design& ref = references[k];
+    vm1opt(ref, standalone_opts(fast_spec("t", duplicate(ref))));
+    EXPECT_EQ(out->placements, ref.placements()) << "job " << k;
+  }
+}
+
 // ---------------------------------------------------------------------
 // TCP front-end: the full client protocol against a live Service.
 
