@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -42,7 +43,8 @@ constexpr const char* kUsage =
     "  --max-queue=N        queued-job bound          (default 64)\n"
     "  --job-threads=N      threads per job when --workers=0 (default 1)\n"
     "  --cache=DIR          persistent solve cache shared by all tenants;\n"
-    "                       resubmitted designs are served from the store\n";
+    "                       resubmitted designs are served from the store\n"
+    "                       (default: a bounded in-memory cache)\n";
 
 vm1::svc::Service* g_service = nullptr;
 
@@ -116,16 +118,20 @@ int main(int argc, char** argv) {
   }
 
   try {
+    // Every tenant's incremental jobs share one solve cache, so a
+    // resubmitted window is replayed rather than solved again.
     std::optional<vm1::cache::CacheStore> store;
-    std::optional<vm1::cache::PersistentCache> pcache;
+    std::unique_ptr<vm1::CacheBackend> cache;
     if (!cache_dir.empty()) {
       vm1::cache::StoreOptions cs;
       cs.dir = cache_dir;
       cs.epoch = vm1::cache::default_epoch();
       store.emplace(cs);
-      pcache.emplace(&*store);
+      cache = std::make_unique<vm1::cache::PersistentCache>(&*store);
       std::printf("vm1_serve: solve cache at %s (%zu entries)\n",
                   cache_dir.c_str(), store->entries());
+    } else {
+      cache = std::make_unique<vm1::cache::MemoryCache>();
     }
 
     std::optional<vm1::dist::Coordinator> coord;
@@ -140,7 +146,7 @@ int main(int argc, char** argv) {
     jo.max_running = max_running;
     jo.max_queue_depth = max_queue;
     jo.coordinator = coord ? &*coord : nullptr;
-    jo.cache = pcache ? &*pcache : nullptr;
+    jo.cache = cache.get();
     jo.job_threads = static_cast<unsigned>(job_threads > 0 ? job_threads : 1);
     vm1::svc::JobManager manager(jo);
 

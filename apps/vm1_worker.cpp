@@ -9,7 +9,7 @@
 ///                        nonce/HMAC auth handshake (dist/tcp.h). The
 ///                        shared secret comes from $VM1_DIST_SECRET.
 ///
-/// Serves kRequestBatch and kCacheQuery frames until kShutdown/EOF.
+/// Solves the windows of kRequestBatch frames until kShutdown/EOF.
 ///
 /// Exit codes: 0 orderly shutdown, 1 dead peer, 2 unrecoverable stream
 /// corruption, 3 injected worker_kill drill, 64 bad usage, 65 connect

@@ -1,25 +1,22 @@
 // Solve-cache benchmark (src/cache): cold vs warm runs through a
-// persistent store, and frame economy of the cache-aware coalesced
-// dispatch (dist::Coordinator coalesce / kRequestBatch / kCacheQuery).
+// persistent store and through the in-memory backend, on threads and on a
+// worker fleet.
 //
 // The cache contract is "bit-identical, just cheaper", so every row must
 // reproduce the reference objective exactly; what varies is how many
-// MILPs actually ran and how many wire frames moved. Reported per
-// configuration: wall-clock, MILP-solved windows, cache hits/stores,
-// skip rate (windows served without a MILP), and frames-per-window for
-// the processes rows. Results land in BENCH_cache.json.
+// MILPs actually ran. Reported per configuration: wall-clock, MILP-solved
+// windows, cache hits/stores, skip rate (windows served without a MILP),
+// and frames-per-window for the processes rows. Results land in
+// BENCH_cache.json.
 //
 // A second table reports the warm rerun's cost per store-served window at
 // two design sizes (scale and 4 x scale). A store hit costs in proportion to
 // its window, not to the design, so the figure should stay about flat as
 // the design grows; it is reported, not gated.
 //
-// VM1_BENCH_QUICK: CI perf-smoke mode with two hard gates —
-//   1. a warm rerun through the store must skip >= 90% of the cold run's
-//      MILP solves while matching its objective bit for bit;
-//   2. coalesced dispatch (coalesce=16) must spend < 1.0 wire frames per
-//      window, and strictly fewer than the historical one-request-per-
-//      frame dispatch (coalesce=1).
+// VM1_BENCH_QUICK: CI perf-smoke mode with one hard gate: a warm rerun
+// through the store must skip >= 90% of the cold run's MILP solves while
+// matching its objective bit for bit.
 #include "bench_util.h"
 
 #include <cstdlib>
@@ -138,7 +135,7 @@ int quick_smoke(double scale) {
   std::vector<Placement> snap0 = d0.placements();
   int rc = 0;
 
-  // Gate 1: warm rerun skips >= 90% of the cold run's MILP solves,
+  // The gate: a warm rerun skips >= 90% of the cold run's MILP solves,
   // bit-identically.
   TempStoreDir dir;
   cache::StoreOptions so;
@@ -171,51 +168,6 @@ int quick_smoke(double scale) {
     std::fprintf(stderr, "FAIL: warm rerun reported no persistent hits\n");
     rc = 1;
   }
-
-  // Gate 2: coalesced dispatch spends < 1.0 frames per window, and fewer
-  // than the one-request-per-frame baseline on the same workload.
-  double fpw1 = 0, fpw16 = 0;
-  double obj = 0;
-  {
-    dist::CoordinatorOptions co;
-    co.num_workers = 2;
-    co.coalesce = 1;
-    dist::Coordinator coord(co);
-    RunRow r = run_once(base, snap0, nullptr, &coord);
-    fpw1 = frames_per_window(r.stats);
-    obj = r.stats.final.value;
-  }
-  {
-    dist::CoordinatorOptions co;
-    co.num_workers = 2;
-    co.coalesce = 16;
-    dist::Coordinator coord(co);
-    RunRow r = run_once(base, snap0, nullptr, &coord);
-    fpw16 = frames_per_window(r.stats);
-    if (r.stats.final.value != obj || obj != cold.stats.final.value) {
-      std::fprintf(stderr,
-                   "FAIL: coalesced dispatch diverged (objective %.17g)\n",
-                   r.stats.final.value);
-      rc = 1;
-    }
-  }
-  std::printf("quick: frames/window %.2f (coalesce=1) -> %.2f "
-              "(coalesce=16)\n",
-              fpw1, fpw16);
-  if (fpw16 >= 1.0) {
-    std::fprintf(stderr,
-                 "FAIL: coalesced dispatch spent %.2f frames/window "
-                 "(gate < 1.0)\n",
-                 fpw16);
-    rc = 1;
-  }
-  if (fpw16 >= fpw1) {
-    std::fprintf(stderr,
-                 "FAIL: coalescing did not reduce frames/window "
-                 "(%.2f vs %.2f)\n",
-                 fpw16, fpw1);
-    rc = 1;
-  }
   return rc;
 }
 
@@ -241,22 +193,22 @@ int main() {
   so.epoch = cache::default_epoch();
   cache::CacheStore store(so);
   cache::PersistentCache pc(&store);
+  cache::MemoryCache mc;
 
   struct Config {
     const char* name;
-    bool use_store;   // attach the persistent tier (store warms across rows)
-    int workers;      // 0 = threads backend
-    int coalesce;
+    CacheBackend* cache;  // warms across rows; null = no cache
+    int workers;          // 0 = threads backend
   };
-  // Row order matters: the first store-backed row populates the cache the
-  // later ones consume, mirroring a cold CI run followed by warm reruns.
+  // Row order matters: the first row on a cache populates it for the later
+  // ones, mirroring a cold CI run followed by warm reruns.
   const Config configs[] = {
-      {"threads-cold", true, 0, 0},
-      {"threads-warm", true, 0, 0},
-      {"proc2-c1", false, 2, 1},
-      {"proc2-c8", false, 2, 8},
-      {"proc2-c32", false, 2, 32},
-      {"proc2-warm-c8", true, 2, 8},
+      {"threads-cold", &pc, 0},
+      {"threads-warm", &pc, 0},
+      {"memory-cold", &mc, 0},
+      {"memory-warm", &mc, 0},
+      {"proc2", nullptr, 2},
+      {"proc2-warm", &pc, 2},
   };
 
   Table t({"config", "wall_s", "objective", "milp", "cached", "hits",
@@ -278,11 +230,9 @@ int main() {
     if (c.workers > 0) {
       dist::CoordinatorOptions co;
       co.num_workers = c.workers;
-      co.coalesce = c.coalesce;
       coord.emplace(co);
     }
-    RunRow r = run_once(base, snap0, c.use_store ? &pc : nullptr,
-                        coord ? &*coord : nullptr);
+    RunRow r = run_once(base, snap0, c.cache, coord ? &*coord : nullptr);
     if (ref_objective == 0) {
       ref_objective = r.stats.final.value;
     } else if (r.stats.remote.local_fallbacks == 0 &&
@@ -303,8 +253,8 @@ int main() {
     jw.begin_object();
     jw.field("config", c.name);
     jw.field("workers", c.workers);
-    jw.field("coalesce", c.coalesce);
-    jw.field("persistent_store", c.use_store);
+    jw.field("persistent_store", c.cache == &pc);
+    jw.field("memory_cache", c.cache == &mc);
     jw.field("wall_s", r.wall);
     jw.field("objective", r.stats.final.value);
     jw.field("hpwl", r.stats.final.hpwl);
@@ -315,8 +265,6 @@ int main() {
     jw.field("cache_stores", r.stats.cache_stores);
     jw.field("skipped", r.stats.skipped);
     jw.field("skip_rate", skip_rate(r.stats));
-    jw.field("remote_cache_queries", r.stats.remote.cache_queries);
-    jw.field("remote_cache_query_hits", r.stats.remote.cache_query_hits);
     jw.field("remote_frames_sent", r.stats.remote.frames_sent);
     jw.field("remote_frames_received", r.stats.remote.frames_received);
     jw.field("frames_per_window", frames_per_window(r.stats));
@@ -348,7 +296,7 @@ int main() {
   std::printf("%s", t.render().c_str());
   std::printf("\nEvery row reproduces the reference objective bit for bit; "
               "rows differ only in\nhow many MILPs ran (cache tiers) and "
-              "how many frames moved (coalescing).\n");
+              "where the windows solved.\n");
   std::printf("store: %zu entries, %zu bytes, %ld evictions "
               "(BENCH_cache.json written)\n",
               store.entries(), store.bytes(), store.evictions());

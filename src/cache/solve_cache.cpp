@@ -11,6 +11,10 @@ namespace vm1::cache {
 
 namespace {
 
+/// MemoryCache caps: entries, and estimated bytes (WindowMemo sizes).
+constexpr std::size_t kMemoryCacheEntries = 1u << 16;
+constexpr std::size_t kMemoryCacheBytes = 64u << 20;
+
 // Local little-endian helpers: the memo codec versions with the store's
 // on-disk format (kStoreFormatVersion), deliberately independent of the
 // wire protocol's codec.
@@ -163,6 +167,21 @@ void PersistentCache::store(const WindowSig& sig, const WindowMemo& memo) {
   }
   store_c.add();
   stores_.fetch_add(1, std::memory_order_relaxed);
+}
+
+MemoryCache::MemoryCache() {
+  table_.set_memo_limits(kMemoryCacheEntries, kMemoryCacheBytes);
+}
+
+std::optional<WindowMemo> MemoryCache::lookup(const WindowSig& sig) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (const WindowMemo* m = table_.lookup(sig)) return *m;
+  return std::nullopt;
+}
+
+void MemoryCache::store(const WindowSig& sig, const WindowMemo& memo) {
+  std::lock_guard<std::mutex> lock(mu_);
+  table_.store(sig, memo);
 }
 
 }  // namespace vm1::cache

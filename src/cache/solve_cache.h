@@ -1,6 +1,7 @@
 /// \file solve_cache.h
-/// The solve-cache adapter: exposes a CacheStore as the CacheBackend tier-2
-/// seam of IncrementalState (src/core/incremental.h).
+/// The solve-cache backends behind the CacheBackend tier-2 seam of
+/// IncrementalState (src/core/incremental.h): a persistent CacheStore, or
+/// a bounded table in memory.
 ///
 /// The key is the existing 128-bit window signature — it already covers
 /// every input the window solve reads (geometry, cells, boundary pins,
@@ -20,6 +21,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -67,6 +69,22 @@ class PersistentCache : public CacheBackend {
   std::atomic<long> hits_{0};
   std::atomic<long> misses_{0};
   std::atomic<long> stores_{0};
+};
+
+/// CacheBackend held in memory, for a long-lived process without a
+/// persistent store (vm1_serve without --cache): IncrementalState's memo
+/// table under one lock, capped at 65,536 entries and 64 MiB with
+/// oldest-first eviction. Entries live as long as the cache.
+class MemoryCache : public CacheBackend {
+ public:
+  MemoryCache();
+
+  std::optional<WindowMemo> lookup(const WindowSig& sig) override;
+  void store(const WindowSig& sig, const WindowMemo& memo) override;
+
+ private:
+  std::mutex mu_;
+  IncrementalState table_;
 };
 
 }  // namespace vm1::cache

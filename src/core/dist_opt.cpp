@@ -102,13 +102,9 @@ struct Job {
   WindowSig sig;
   bool sig_valid = false;
   bool memo_hit = false;
-  /// memo_hit came from the tier-2 CacheBackend (persistent store), not
-  /// the run-local table: classified kCachedRemote and promoted to tier 1.
+  /// memo_hit came from the tier-2 CacheBackend, not the run-local table:
+  /// classified kCachedRemote and promoted to tier 1.
   bool from_cache = false;
-  /// A worker served this solve from its memo tier (kReplyBatch `cached`
-  /// tag or a kCacheQuery hit): classified kCachedRemote instead of
-  /// kSolved when the solution applies cleanly.
-  bool cached_remote = false;
   WindowMemo memo;
 };
 
@@ -285,7 +281,6 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
       // dispatches to workers with retry-once-then-local-fallback. Every
       // job's `out` is filled on return.
       std::vector<dist::RemoteJob> remote;
-      std::vector<Job*> dispatched;  // parallel to `remote`
       for (const auto& job : jobs) {
         if (!prepare(*job)) continue;
         dist::RemoteJob rj;
@@ -294,14 +289,10 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
         rj.expected_sig = job->sig;
         rj.greedy_fallback = opts.greedy_fallback;
         remote.push_back(rj);
-        dispatched.push_back(job.get());
       }
       if (!remote.empty()) {
         coord->solve_batch(d, remote, &cancelled);
-        for (std::size_t j = 0; j < remote.size(); ++j) {
-          dispatched[j]->cached_remote = remote[j].cached;
-          progress.advance();
-        }
+        progress.advance(static_cast<long>(remote.size()));
       }
     } else {
       // Threads backend: windows in a batch touch disjoint cells and the
@@ -378,11 +369,7 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
         WindowMemo m;
         m.sig2 = job->sig.b;  // collision guard; persisted, unlike gen
         m.recorded_gen = inc->generation();
-        // A remote-cache-served solve memoizes as the outcome a fresh
-        // solve would have produced: kCachedRemote only describes *how*
-        // this run obtained it.
-        m.outcome = o == WindowOutcome::kCachedRemote ? WindowOutcome::kSolved
-                                                      : o;
+        m.outcome = o;
         m.empty_build = empty_build;
         m.obj_delta = obj_delta;
         m.changed = std::move(changed);
@@ -472,16 +459,12 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
         continue;
       }
       ++stats.windows;
-      // A fleet-memo replay carries the original solve's work counts, but
-      // no MILP ran in this pass — count it like a store-served window.
-      if (!job->cached_remote) {
-        stats.total_nodes += job->out.nodes;
-        stats.total_lp_iters += job->out.lp_iterations;
-        stats.dual_pivots += job->out.dual_pivots;
-        stats.warm_solves += job->out.warm_solves;
-        stats.cold_restarts += job->out.cold_restarts;
-        stats.rc_fixed += job->out.rc_fixed;
-      }
+      stats.total_nodes += job->out.nodes;
+      stats.total_lp_iters += job->out.lp_iterations;
+      stats.dual_pivots += job->out.dual_pivots;
+      stats.warm_solves += job->out.warm_solves;
+      stats.cold_restarts += job->out.cold_restarts;
+      stats.rc_fixed += job->out.rc_fixed;
       if (job->out.has_solution) ++stats.windows_solved;
 
       const std::vector<Placement>* sol = nullptr;
@@ -534,18 +517,8 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
             outcome = WindowOutcome::kFallbackRounding;
             classify(outcome);
           } else {
-            // A worker-cache-served solution that applied and audited
-            // cleanly classifies kCachedRemote; fallback-path results keep
-            // their natural buckets above even when cached (the bucket
-            // describes what the result IS, the cached tag only how the
-            // solved case was obtained).
-            if (job->cached_remote) {
-              ++stats.cached_remote;
-              outcome = WindowOutcome::kCachedRemote;
-            } else {
-              ++stats.solved;
-              outcome = WindowOutcome::kSolved;
-            }
+            ++stats.solved;
+            outcome = WindowOutcome::kSolved;
             classify(outcome);
             obj_delta = job->out.warm_obj - job->out.objective;
             if (job->out.objective < job->out.warm_obj - 1e-9) {

@@ -43,7 +43,7 @@ enum class WindowOutcome {
   kKept,              ///< nothing applied (no fallback fired, or cancelled)
   kFaulted,           ///< build/solve/apply threw; window left untouched
   kSkipped,           ///< clean signature hit; memoized result replayed
-  kCachedRemote,      ///< clean solve served by a cache tier (no MILP ran)
+  kCachedRemote,      ///< replayed from the tier-2 CacheBackend (no MILP)
 };
 
 const char* to_string(WindowOutcome o);
@@ -157,7 +157,7 @@ struct DistOptStats {
   int kept = 0;              ///< kKept
   int faulted = 0;           ///< kFaulted (exception; window untouched)
   int skipped = 0;           ///< kSkipped (memoized replay; no MILP built)
-  int cached_remote = 0;     ///< kCachedRemote (cache tier served the solve)
+  int cached_remote = 0;     ///< kCachedRemote (CacheBackend replay)
   long faults_injected = 0;  ///< fault-injection firings observed (VM1_FAULTS)
   // Incremental-engine observability (zero when no IncrementalState given).
   long signature_hits = 0;   ///< memo lookups that skipped a window

@@ -113,7 +113,7 @@ struct VM1OptStats {
   long kept = 0;
   long faulted = 0;
   long skipped = 0;          ///< kSkipped: memoized replays (no MILP built)
-  long cached_remote = 0;    ///< kCachedRemote: cache tier served the solve
+  long cached_remote = 0;    ///< kCachedRemote: CacheBackend replays
   long faults_injected = 0;  ///< VM1_FAULTS firings observed across passes
   // Incremental-engine observability, aggregated over every pass.
   long signature_hits = 0;
@@ -124,8 +124,7 @@ struct VM1OptStats {
   long cache_stores = 0;     ///< memoized solves written through to tier 2
   long memo_evictions = 0;   ///< tier-1 memo entries evicted (capacity)
   /// Distributed-backend transport counters summed over every pass (all
-  /// zero for the threads backend). frames-per-window =
-  /// remote.frames_sent / windows, the quantity coalescing drives < 1.0.
+  /// zero for the threads backend).
   dist::CoordinatorStats remote;
   /// True when a parameter set's inner loop exited because a full
   /// move+flip iteration changed zero cells (sweep-level early

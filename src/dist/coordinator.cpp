@@ -9,6 +9,7 @@
 #include <deque>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "dist/tcp.h"
 #include "dist/wire.h"
@@ -86,20 +87,6 @@ Metrics& metrics() {
 
 }  // namespace
 
-const char* to_string(WorkerHealth h) {
-  switch (h) {
-    case WorkerHealth::kHealthy:
-      return "healthy";
-    case WorkerHealth::kSuspect:
-      return "suspect";
-    case WorkerHealth::kQuarantined:
-      return "quarantined";
-    case WorkerHealth::kRetired:
-      return "retired";
-  }
-  return "?";
-}
-
 void CoordinatorOptions::validate() const {
   auto bad = [](const std::string& what) {
     throw std::invalid_argument("CoordinatorOptions: " + what);
@@ -127,15 +114,11 @@ void CoordinatorOptions::validate() const {
         std::to_string(kQuarantineMaxSec) + "], got " +
         std::to_string(quarantine_base_sec));
   }
-  if (coalesce < 1 || coalesce > 1024) {
-    bad("coalesce must be in [1, 1024], got " + std::to_string(coalesce));
-  }
 }
 
 struct Coordinator::Pending {
-  RemoteJob* rj = nullptr;  ///< caller's job entry (results + cached tag)
+  RemoteJob* rj = nullptr;  ///< caller's job entry (result filled here)
   int attempts = 0;   ///< remote attempts consumed
-  bool done = false;
 };
 
 struct Coordinator::Slot {
@@ -144,11 +127,11 @@ struct Coordinator::Slot {
   bool current = false;     ///< replica bound and synced to the design
   bool restart = false;     ///< next successful establish is a restart
   std::vector<std::uint8_t> rbuf;
-  /// Windows awaiting this worker's answer, keyed by request id: one entry
-  /// per embedded request of the in-flight kRequestBatch. At most one
-  /// frame is ever in flight per worker, so `deadline` below covers the
-  /// whole vector.
-  std::vector<std::pair<std::uint64_t, Pending*>> inflight;
+  /// The window awaiting this worker's answer (null when idle) and its
+  /// request id. At most one frame of one window is in flight per worker,
+  /// and `deadline` below is that frame's.
+  Pending* inflight = nullptr;
+  std::uint64_t inflight_id = 0;
   double sent_at = 0;
   double deadline = 0;
   // Supervision state (see WorkerHealth).
@@ -206,7 +189,7 @@ void Coordinator::shutdown_workers() {
     }
     s.alive = false;
     s.current = false;
-    s.inflight.clear();
+    s.inflight = nullptr;
   }
 }
 
@@ -415,7 +398,7 @@ void Coordinator::handle_pong(Slot& slot, std::uint64_t seq) {
 
 int Coordinator::heartbeat(double timeout_sec) {
   for (Slot& s : slots_) {
-    if (!s.alive || !s.inflight.empty() || s.ping_outstanding) continue;
+    if (!s.alive || s.inflight || s.ping_outstanding) continue;
     send_ping(s);
   }
   const double deadline = clock_.seconds() + timeout_sec;
@@ -462,10 +445,8 @@ int Coordinator::heartbeat(double timeout_sec) {
           if (f->type == MsgType::kPong) {
             handle_pong(slot, decode_ping(f->payload).seq);
           } else if (f->type == MsgType::kHello ||
-                     f->type == MsgType::kError ||
-                     f->type == MsgType::kCacheReply) {
-            // Tolerated between batches; nothing is in flight (a late
-            // cache-probe answer is simply a dead letter).
+                     f->type == MsgType::kError) {
+            // Tolerated between batches; nothing is in flight.
           } else {
             throw WireError("unexpected frame during heartbeat");
           }
@@ -527,120 +508,6 @@ void Coordinator::sync(const std::vector<std::pair<int, Placement>>& changed) {
   }
 }
 
-void Coordinator::probe_cache(std::vector<Pending>& pendings,
-                              std::size_t& remaining) {
-  if (!opts_.remote_cache || remaining == 0) return;
-  WireCacheQuery q;
-  q.sigs.reserve(pendings.size());
-  for (const Pending& p : pendings) {
-    if (!p.done) q.sigs.push_back(p.rj->expected_sig);
-  }
-  if (q.sigs.empty()) return;
-
-  // One batched probe per live worker. Establishing a worker just to ask
-  // it would be pointless (a fresh process has an empty memo), so only
-  // already-live connections are queried.
-  struct Waiting {
-    Slot* slot;
-    std::uint64_t query_id;
-    bool answered = false;
-  };
-  std::vector<Waiting> waiting;
-  for (Slot& slot : slots_) {
-    if (!slot.alive) continue;
-    q.query_id = ++seq_;
-    if (!send_frame_to(slot, encode_frame(MsgType::kCacheQuery,
-                                          encode_cache_query(q)))) {
-      continue;  // send_frame_to already tore the slot down
-    }
-    stats_.cache_queries += static_cast<long>(q.sigs.size());
-    waiting.push_back({&slot, q.query_id});
-  }
-  if (waiting.empty()) return;
-
-  auto apply_hits = [&](const WireCacheReply& reply) {
-    for (const WireCacheHit& h : reply.hits) {
-      for (Pending& p : pendings) {
-        if (p.done) continue;
-        if (p.rj->expected_sig.a != h.sig.a ||
-            p.rj->expected_sig.b != h.sig.b) {
-          continue;
-        }
-        *p.rj->result = h.result;
-        p.rj->cached = true;
-        p.done = true;
-        --remaining;
-        ++stats_.cache_query_hits;
-      }
-    }
-  };
-
-  // Probes are pure memo lookups; a worker that stays silent past the
-  // heartbeat timeout is simply treated as all-miss — its windows dispatch
-  // normally and the health machinery is not engaged for slowness here
-  // (EOF/corruption still tears the slot down as usual).
-  const double deadline = clock_.seconds() + opts_.heartbeat_timeout_sec;
-  std::size_t unanswered = waiting.size();
-  while (unanswered > 0) {
-    double wait = deadline - clock_.seconds();
-    if (wait <= 0) break;
-    std::vector<pollfd> fds;
-    std::vector<Waiting*> fd_waiting;
-    for (Waiting& w : waiting) {
-      if (w.answered || !w.slot->alive) continue;
-      fds.push_back(pollfd{w.slot->conn->fd(), POLLIN, 0});
-      fd_waiting.push_back(&w);
-    }
-    if (fds.empty()) break;
-    poll(fds.data(), static_cast<nfds_t>(fds.size()),
-         static_cast<int>(std::min(wait * 1000.0 + 1.0, 100.0)));
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      Waiting& w = *fd_waiting[i];
-      Slot& slot = *w.slot;
-      if (!slot.alive) continue;
-      if (!(fds[i].revents & (POLLIN | POLLHUP | POLLERR))) continue;
-      std::uint8_t chunk[1 << 16];
-      long n = slot.conn->read_some(chunk, sizeof chunk);
-      if (n <= 0) {
-        worker_died(slot, n == 0 ? "worker exited" : "read error");
-        --unanswered;
-        continue;
-      }
-      stats_.bytes_received += n;
-      metrics().bytes_received.add(n);
-      slot.last_activity = clock_.seconds();
-      slot.rbuf.insert(slot.rbuf.end(), chunk, chunk + n);
-      try {
-        std::optional<Frame> f;
-        while (slot.alive && (f = extract_frame(slot.rbuf))) {
-          ++stats_.frames_received;
-          if (f->type == MsgType::kCacheReply) {
-            WireCacheReply reply;
-            {
-              obs::ScopedTimer t(metrics().deserialize_sec);
-              reply = decode_cache_reply(f->payload);
-            }
-            if (reply.query_id != w.query_id) continue;  // stale probe
-            apply_hits(reply);
-            w.answered = true;
-            --unanswered;
-          } else if (f->type == MsgType::kPong) {
-            handle_pong(slot, decode_ping(f->payload).seq);
-          } else if (f->type == MsgType::kHello ||
-                     f->type == MsgType::kError) {
-            // Tolerated: nothing but the probe is in flight.
-          } else {
-            throw WireError("unexpected frame during cache probe");
-          }
-        }
-      } catch (const WireError& e) {
-        worker_died(slot, e.what());
-        --unanswered;
-      }
-    }
-  }
-}
-
 void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
                               const std::atomic<bool>* cancel) {
   obs::ObsSpan span("dist.solve_batch");
@@ -668,19 +535,13 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
   }
 
   std::vector<Pending> pendings(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) pendings[i].rj = &jobs[i];
-  std::size_t remaining = pendings.size();
-
-  // Phase 0: probe live workers' memo tiers in one batched kCacheQuery per
-  // worker. Hits are filled and marked done before a single request frame
-  // is built — the cheapest possible way to serve a window.
-  probe_cache(pendings, remaining);
-
   std::deque<Pending*> queue;
   std::deque<Pending*> local;
-  for (Pending& p : pendings) {
-    if (!p.done) queue.push_back(&p);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    pendings[i].rj = &jobs[i];
+    queue.push_back(&pendings[i]);
   }
+  std::size_t remaining = pendings.size();
 
   // Retry budget: a storm of failures must not turn into quadratic
   // re-dispatching — once the batch's budget is spent, further failures
@@ -701,25 +562,15 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
     }
   };
 
-  // Resolve one in-flight window by request id (stale ids return null).
+  // Resolve the in-flight window by request id (a stale id returns null).
   auto take_inflight = [](Slot& slot, std::uint64_t req_id) -> Pending* {
-    for (auto it = slot.inflight.begin(); it != slot.inflight.end(); ++it) {
-      if (it->first == req_id) {
-        Pending* p = it->second;
-        slot.inflight.erase(it);
-        return p;
-      }
-    }
-    return nullptr;
+    if (slot.inflight_id != req_id) return nullptr;
+    return std::exchange(slot.inflight, nullptr);
   };
-  // Fail every window still in flight on a slot (worker death, corrupt
-  // stream, deadline, or batch entries the worker omitted).
-  auto fail_all_inflight = [&](Slot& slot) {
-    std::vector<std::pair<std::uint64_t, Pending*>> inflight;
-    inflight.swap(slot.inflight);
-    for (auto& entry : inflight) {
-      if (entry.second) fail_attempt(entry.second);
-    }
+  // Fail the window still in flight on a slot (worker death, corrupt
+  // stream, deadline, or a batch answer that omitted it).
+  auto fail_inflight = [&](Slot& slot) {
+    if (Pending* p = std::exchange(slot.inflight, nullptr)) fail_attempt(p);
   };
 
   while (remaining > 0) {
@@ -731,95 +582,68 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
       ++stats_.local_fallbacks;
       metrics().local_fallbacks.add();
       *p->rj->result = solve_window(d, *p->rj->job, cancel);
-      p->done = true;
       --remaining;
     }
     if (remaining == 0) break;
 
-    // Dispatch: one kRequestBatch frame in flight per worker, carrying up
-    // to `coalesce` cache-missing windows (a batch of one by default). The
-    // pre-send drills run per window as it joins the chunk.
+    // Dispatch: one kRequestBatch frame of one window in flight per
+    // worker. The pre-send drills run on the window before it is sent; a
+    // timed-out connect leaves the slot free for the next queued window.
     for (Slot& slot : slots_) {
       if (queue.empty()) break;
-      if (!slot.inflight.empty()) continue;
+      if (slot.inflight) continue;
       if (!ensure_worker(slot)) continue;
-      std::vector<Pending*> chunk;
-      bool slot_down = false;
-      while (!queue.empty() &&
-             static_cast<int>(chunk.size()) < opts_.coalesce) {
-        Pending* p = queue.front();
+      Pending* p = nullptr;
+      while (!p && !queue.empty()) {
+        Pending* next = queue.front();
         queue.pop_front();
         if (fault_on && fault::should_fire(fault::Site::kConnectRefused,
-                                           p->rj->job->key)) {
+                                           next->rj->job->key)) {
           // Unlike connect_timeout, a refusal discredits the connection:
           // tear it down so the next dispatch has to re-establish. Checked
           // before connect_timeout so a key firing both still exercises the
           // teardown path (the timeout drill has no side effects to shadow).
           log_warn("dist: injected connect_refused, window ",
-                   p->rj->job->widx);
+                   next->rj->job->widx);
           ++stats_.connect_failures;
           metrics().connect_failures.add();
           worker_died(slot, "injected connect refused");
-          fail_attempt(p);
-          slot_down = true;
+          fail_attempt(next);
           break;
         }
         if (fault_on && fault::should_fire(fault::Site::kConnectTimeout,
-                                           p->rj->job->key)) {
+                                           next->rj->job->key)) {
           log_warn("dist: injected connect_timeout, window ",
-                   p->rj->job->widx);
-          fail_attempt(p);
+                   next->rj->job->widx);
+          fail_attempt(next);
           continue;
         }
-        chunk.push_back(p);
+        p = next;
       }
-      if (slot_down || chunk.empty() || !bind_if_stale(slot, d)) {
-        if (slot_down) {
-          // A refused teardown aborts the chunk: windows already assembled
-          // go back to the queue head in order, drills unconsumed.
-          for (auto it = chunk.rbegin(); it != chunk.rend(); ++it) {
-            queue.push_front(*it);
-          }
-        } else {
-          for (Pending* p : chunk) fail_attempt(p);
-        }
+      if (!p) continue;
+      if (!bind_if_stale(slot, d)) {
+        fail_attempt(p);
         continue;
       }
       WireRequestBatch batch;
-      batch.requests.reserve(chunk.size());
-      double time_limits = 0;
-      bool retransmit = false;
-      for (Pending* p : chunk) {
-        WireRequest rq;
-        rq.req_id = ++seq_;
-        rq.job = *p->rj->job;
-        rq.greedy_fallback = p->rj->greedy_fallback;
-        rq.faults = fault::config();
-        rq.expected_sig = p->rj->expected_sig;
-        time_limits += p->rj->job->mip.time_limit_sec;
-        retransmit = retransmit || p->attempts > 0;
-        batch.requests.push_back(std::move(rq));
-      }
+      WireRequest& rq = batch.requests.emplace_back();
+      rq.req_id = ++seq_;
+      rq.job = *p->rj->job;
+      rq.greedy_fallback = p->rj->greedy_fallback;
+      rq.faults = fault::config();
+      rq.expected_sig = p->rj->expected_sig;
       std::vector<std::uint8_t> frame;
       {
         obs::ScopedTimer t(metrics().serialize_sec);
         frame = encode_frame(MsgType::kRequestBatch,
                              encode_request_batch(batch));
       }
-      bool partition = false;
-      if (fault_on) {
-        for (Pending* p : chunk) {
-          if (fault::should_fire(fault::Site::kPartition, p->rj->job->key)) {
-            log_warn("dist: injected partition, window ", p->rj->job->widx);
-            partition = true;
-            break;
-          }
-        }
-      }
-      if (partition) {
+      if (fault_on &&
+          fault::should_fire(fault::Site::kPartition, p->rj->job->key)) {
         // Mid-frame partition: half the frame leaves, the link dies. The
         // worker sees a truncated frame then EOF; the stranded tail is
-        // accounted as dropped and every window in the chunk is retried.
+        // accounted as dropped and the window is retried.
+        log_warn("dist: injected partition, window ", p->rj->job->widx);
         std::size_t half = frame.size() / 2;
         std::size_t written = slot.conn->write_all(frame.data(), half);
         stats_.bytes_sent += static_cast<long>(written);
@@ -828,33 +652,30 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
         metrics().bytes_dropped.add(
             static_cast<long>(frame.size() - written));
         worker_died(slot, "injected mid-frame partition");
-        for (Pending* p : chunk) fail_attempt(p);
+        fail_attempt(p);
         continue;
       }
-      if (retransmit) {
+      if (p->attempts > 0) {
         stats_.bytes_retransmitted += static_cast<long>(frame.size());
         metrics().bytes_retransmitted.add(static_cast<long>(frame.size()));
       }
       if (!send_frame_to(slot, std::move(frame))) {
-        for (Pending* p : chunk) fail_attempt(p);
+        fail_attempt(p);
         continue;
       }
-      stats_.requests += static_cast<long>(chunk.size());
-      metrics().requests.add(static_cast<long>(chunk.size()));
-      for (std::size_t k = 0; k < chunk.size(); ++k) {
-        slot.inflight.push_back({batch.requests[k].req_id, chunk[k]});
-      }
+      ++stats_.requests;
+      metrics().requests.add();
+      slot.inflight = p;
+      slot.inflight_id = rq.req_id;
       slot.sent_at = clock_.seconds();
-      // The worker solves the chunk serially, so the shared deadline is
-      // the sum of the per-window limits plus the usual slack.
-      slot.deadline =
-          slot.sent_at + time_limits + opts_.request_timeout_sec;
+      slot.deadline = slot.sent_at + p->rj->job->mip.time_limit_sec +
+                      opts_.request_timeout_sec;
     }
     metrics().queue_depth.set(static_cast<double>(queue.size()));
 
     bool any_inflight = false;
     for (const Slot& slot : slots_) {
-      if (!slot.inflight.empty()) {
+      if (slot.inflight) {
         any_inflight = true;
         break;
       }
@@ -889,9 +710,7 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
     {
       const double now = clock_.seconds();
       for (Slot& slot : slots_) {
-        if (!slot.alive || !slot.inflight.empty() || slot.ping_outstanding) {
-          continue;
-        }
+        if (!slot.alive || slot.inflight || slot.ping_outstanding) continue;
         if (now - slot.last_activity >= kHeartbeatIntervalSec) {
           send_ping(slot);
         }
@@ -907,9 +726,7 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
       if (!slot.alive) continue;
       fds.push_back(pollfd{slot.conn->fd(), POLLIN, 0});
       fd_slots.push_back(&slot);
-      if (!slot.inflight.empty()) {
-        next_deadline = std::min(next_deadline, slot.deadline);
-      }
+      if (slot.inflight) next_deadline = std::min(next_deadline, slot.deadline);
       if (slot.ping_outstanding) {
         next_deadline = std::min(next_deadline, slot.ping_deadline);
       }
@@ -928,7 +745,7 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
       long n = slot.conn->read_some(chunk, sizeof chunk);
       if (n <= 0) {
         worker_died(slot, n == 0 ? "worker exited" : "read error");
-        fail_all_inflight(slot);
+        fail_inflight(slot);
         continue;
       }
       stats_.bytes_received += n;
@@ -946,7 +763,7 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
               rb = decode_reply_batch(f->payload);
             } catch (const WireError& e) {
               log_warn("dist: malformed reply batch: ", e.what());
-              fail_all_inflight(slot);
+              fail_inflight(slot);
               continue;
             }
             metrics().rpc_sec.observe(clock_.seconds() - slot.sent_at);
@@ -970,17 +787,13 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
               ++stats_.replies;
               metrics().replies.add();
               *p->rj->result = std::move(entry.reply.result);
-              if (entry.cached) p->rj->cached = true;
-              p->done = true;
               --remaining;
             }
-            // The batch answer is complete: any window it omitted was
-            // deliberately dropped worker-side (reply-drop drill), so fail
-            // those now instead of waiting out the shared deadline.
-            fail_all_inflight(slot);
+            // The batch answer is complete: if it did not resolve the
+            // window in flight, fail it now instead of waiting out the
+            // deadline.
+            fail_inflight(slot);
             note_success(slot);
-          } else if (f->type == MsgType::kCacheReply) {
-            // Probe answer that outlived its probe window: a dead letter.
           } else if (f->type == MsgType::kPong) {
             handle_pong(slot, decode_ping(f->payload).seq);
           } else if (f->type == MsgType::kError) {
@@ -989,7 +802,7 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
             WireErrorMsg e = decode_error(f->payload);
             log_warn("dist: worker error (", static_cast<int>(e.code),
                      "): ", e.message);
-            fail_all_inflight(slot);
+            fail_inflight(slot);
           } else if (f->type == MsgType::kHello) {
             // Duplicate hello after an internal restart: harmless.
           } else {
@@ -1000,7 +813,7 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
         // Framing/checksum failure: the byte stream itself cannot be
         // trusted any further (this is where reply_corrupt drills land).
         worker_died(slot, e.what());
-        fail_all_inflight(slot);
+        fail_inflight(slot);
       }
     }
 
@@ -1013,14 +826,14 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
         ++stats_.heartbeats_missed;
         metrics().heartbeats_missed.add();
         worker_died(slot, "heartbeat missed");
-        fail_all_inflight(slot);
+        fail_inflight(slot);
         continue;
       }
-      if (slot.inflight.empty() || now < slot.deadline) continue;
+      if (!slot.inflight || now < slot.deadline) continue;
       ++stats_.timeouts;
       metrics().timeouts.add();
       worker_died(slot, "request deadline exceeded");
-      fail_all_inflight(slot);
+      fail_inflight(slot);
     }
   }
   metrics().queue_depth.set(0);

@@ -6,9 +6,9 @@
 /// attach to the coordinator's listener (dist/tcp.h). Keeps a full design
 /// replica bound on every worker (kBindDesign on first use / staleness,
 /// kSync placement deltas after every batch), and dispatches prepared
-/// WindowSolveJobs as kRequestBatch frames of up to `coalesce` windows,
-/// with one frame in flight per worker — the bounded in-flight queue that
-/// keeps a request's deadline meaningful.
+/// WindowSolveJobs one window per kRequestBatch frame, with one frame in
+/// flight per worker — the bounded in-flight queue that keeps a request's
+/// deadline meaningful.
 ///
 /// Supervision (see DESIGN.md "Distributed window solving"):
 ///
@@ -59,8 +59,6 @@ enum class TransportKind { kSocketpair, kTcp };
 /// 30 s cap), and flapping past four episodes retires it for good.
 enum class WorkerHealth { kHealthy, kSuspect, kQuarantined, kRetired };
 
-const char* to_string(WorkerHealth h);
-
 struct CoordinatorOptions {
   int num_workers = 2;
   /// Worker executable. Empty resolves $VM1_WORKER, then the build-baked
@@ -92,17 +90,6 @@ struct CoordinatorOptions {
   /// to a 30 s cap.
   double quarantine_base_sec = 0.5;
 
-  /// Cache-aware dispatch (src/cache). When enabled, solve_batch opens
-  /// with one batched kCacheQuery per live worker probing every queued
-  /// window signature; hits are filled from the worker's memo tier before
-  /// any request is built. Probes never establish workers (a cold fleet
-  /// has cold memos) and a silent probe simply counts as all-miss.
-  bool remote_cache = true;
-  /// Most cache-missing windows shipped to a worker in one kRequestBatch
-  /// frame. 1 (the default) sends a batch of one per frame; larger values
-  /// drive frames-per-window below 1.0 on bench_cache.
-  int coalesce = 1;
-
   /// Throws std::invalid_argument on out-of-range fields.
   void validate() const;
 };
@@ -119,10 +106,6 @@ struct RemoteJob {
   /// The one signature input `job` does not carry: the greedy-fallback
   /// flag, which the worker never runs.
   bool greedy_fallback = true;
-  /// Output: a cache tier served this window without running the MILP —
-  /// either a kCacheQuery probe hit or a worker-side memo hit tagged in
-  /// the kReplyBatch entry. dist_opt classifies such windows kCachedRemote.
-  bool cached = false;
 };
 
 class Coordinator {
@@ -192,10 +175,6 @@ class Coordinator {
 
   bool ensure_worker(Slot& slot);
   bool bind_if_stale(Slot& slot, const Design& d);
-  /// Phase-0 cache probe over `pendings`: one kCacheQuery per live worker,
-  /// hits filled and marked done (decrementing `remaining`) before any
-  /// dispatch. No-op when remote_cache is off or no worker is alive.
-  void probe_cache(std::vector<Pending>& pendings, std::size_t& remaining);
   const std::vector<std::uint8_t>& snapshot(const Design& d);
   void worker_died(Slot& slot, const char* why);
   void note_failure(Slot& slot);

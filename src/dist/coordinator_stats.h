@@ -16,8 +16,8 @@ namespace vm1::dist {
 /// attempted), and bytes_retransmitted is the subset of bytes_sent spent
 /// re-sending a window's request after a failed attempt.
 struct CoordinatorStats {
-  /// Windows handed to workers in kRequestBatch frames (incl. retries);
-  /// a frame of N windows counts N. frames_sent counts the frames.
+  /// Windows handed to workers (incl. retries), one kRequestBatch frame
+  /// each.
   long requests = 0;
   long replies = 0;          ///< well-formed window replies accepted
   long retries = 0;          ///< windows re-queued after a failed attempt
@@ -38,9 +38,6 @@ struct CoordinatorStats {
   /// is independent of dispatch timing and quarantine state, which is what
   /// lets the fault-storm tests assert on it without flaking.
   long faults_scheduled = 0;
-  // Cache-aware dispatch counters (src/cache).
-  long cache_queries = 0;     ///< signatures probed via kCacheQuery frames
-  long cache_query_hits = 0;  ///< probed signatures a worker had memoized
   long frames_sent = 0;       ///< frames fully handed to the kernel
   long frames_received = 0;   ///< well-framed messages parsed from workers
 
@@ -59,8 +56,6 @@ struct CoordinatorStats {
     bytes_retransmitted += o.bytes_retransmitted;
     bytes_dropped += o.bytes_dropped;
     faults_scheduled += o.faults_scheduled;
-    cache_queries += o.cache_queries;
-    cache_query_hits += o.cache_query_hits;
     frames_sent += o.frames_sent;
     frames_received += o.frames_received;
     return *this;

@@ -33,10 +33,6 @@ const char* to_string(MsgType t) {
       return "job_result";
     case MsgType::kCancelJob:
       return "cancel_job";
-    case MsgType::kCacheQuery:
-      return "cache_query";
-    case MsgType::kCacheReply:
-      return "cache_reply";
     case MsgType::kRequestBatch:
       return "request_batch";
     case MsgType::kReplyBatch:
@@ -278,9 +274,8 @@ fault::Config get_faults(WireReader& r) {
   return fc;
 }
 
-// The WindowSolveResult codec is shared by reply-batch entries and the
-// kCacheReply hit entries; the cross-field invariants live in
-// get_solve_result so every path that materializes a result enforces them.
+// A reply's WindowSolveResult; get_solve_result also checks the cross-field
+// invariants the apply phase relies on.
 void put_solve_result(WireWriter& w, const WindowSolveResult& res) {
   w.boolean(res.failed);
   w.str(res.error);
@@ -516,7 +511,7 @@ WireErrorMsg decode_error(const std::vector<std::uint8_t>& payload) {
 }
 
 // ---------------------------------------------------------------------------
-// Cache-aware dispatch messages.
+// Window-solve batch messages.
 
 namespace {
 
@@ -537,62 +532,6 @@ std::vector<std::uint8_t> get_blob(WireReader& r) {
 }
 
 }  // namespace
-
-std::vector<std::uint8_t> encode_cache_query(const WireCacheQuery& q) {
-  WireWriter w;
-  w.u64(q.query_id);
-  w.u32(static_cast<std::uint32_t>(q.sigs.size()));
-  for (const WindowSig& s : q.sigs) {
-    w.u64(s.a);
-    w.u64(s.b);
-  }
-  return w.take();
-}
-
-WireCacheQuery decode_cache_query(const std::vector<std::uint8_t>& payload) {
-  WireReader r(payload);
-  WireCacheQuery q;
-  q.query_id = r.u64();
-  std::uint32_t n = r.count(16);
-  q.sigs.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    WindowSig s;
-    s.a = r.u64();
-    s.b = r.u64();
-    q.sigs.push_back(s);
-  }
-  r.expect_end();
-  return q;
-}
-
-std::vector<std::uint8_t> encode_cache_reply(const WireCacheReply& cr) {
-  WireWriter w;
-  w.u64(cr.query_id);
-  w.u32(static_cast<std::uint32_t>(cr.hits.size()));
-  for (const WireCacheHit& h : cr.hits) {
-    w.u64(h.sig.a);
-    w.u64(h.sig.b);
-    put_solve_result(w, h.result);
-  }
-  return w.take();
-}
-
-WireCacheReply decode_cache_reply(const std::vector<std::uint8_t>& payload) {
-  WireReader r(payload);
-  WireCacheReply cr;
-  cr.query_id = r.u64();
-  std::uint32_t n = r.count(16);
-  cr.hits.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    WireCacheHit h;
-    h.sig.a = r.u64();
-    h.sig.b = r.u64();
-    h.result = get_solve_result(r);
-    cr.hits.push_back(std::move(h));
-  }
-  r.expect_end();
-  return cr;
-}
 
 std::vector<std::uint8_t> encode_request_batch(const WireRequestBatch& b) {
   WireWriter w;
@@ -619,7 +558,6 @@ std::vector<std::uint8_t> encode_reply_batch(const WireReplyBatch& b) {
   w.u32(static_cast<std::uint32_t>(b.entries.size()));
   for (const WireBatchEntry& e : b.entries) {
     w.u8(e.is_error ? 1 : 0);
-    w.boolean(e.cached);
     put_blob(w, e.is_error ? encode_error(e.error) : encode_reply(e.reply));
   }
   return w.take();
@@ -628,7 +566,7 @@ std::vector<std::uint8_t> encode_reply_batch(const WireReplyBatch& b) {
 WireReplyBatch decode_reply_batch(const std::vector<std::uint8_t>& payload) {
   WireReader r(payload);
   WireReplyBatch b;
-  std::uint32_t n = r.count(6);
+  std::uint32_t n = r.count(5);
   b.entries.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     WireBatchEntry e;
@@ -637,7 +575,6 @@ WireReplyBatch decode_reply_batch(const std::vector<std::uint8_t>& payload) {
       throw WireError("wire: reply-batch entry kind out of range");
     }
     e.is_error = kind != 0;
-    e.cached = r.boolean();
     std::vector<std::uint8_t> blob = get_blob(r);
     if (e.is_error) {
       e.error = decode_error(blob);

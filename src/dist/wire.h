@@ -46,7 +46,9 @@ inline constexpr std::uint32_t kMagic = 0x564D3144u;  // "VM1D"
 /// kChallenge/kPing/kPong supervision messages were added.
 /// v3: a kRequestBatch entry carries one MIP options block (the request's
 /// own `job.mip`, which the worker also signs) instead of two.
-inline constexpr std::uint16_t kWireVersion = 3;
+/// v4: a kReplyBatch entry carries its kind and payload, without the
+/// `cached` tag of a worker memo replay.
+inline constexpr std::uint16_t kWireVersion = 4;
 /// Upper bound on a frame payload; larger lengths are treated as stream
 /// corruption (the full aes design snapshot is ~2 MB).
 inline constexpr std::uint32_t kMaxPayload = 1u << 30;
@@ -80,13 +82,8 @@ enum class MsgType : std::uint16_t {
   kJobStatus = 12,  ///< client -> service: WireJobQuery; reply WireJobStatus
   kJobResult = 13,  ///< client -> service: WireJobQuery; reply WireJobResult
   kCancelJob = 14,  ///< client -> service: WireJobQuery; ack is kJobStatus
-  // Cache-aware dispatch frames (src/cache + dist::Coordinator). Again new
-  // types without a version bump: no existing layout changed. A batched
-  // cache probe asks a worker for many window signatures in ONE frame; a
-  // request batch coalesces the cache-missing jobs of a dispatch chunk
-  // into one frame so the frames-per-window ratio drops below 1.
-  kCacheQuery = 15,   ///< coordinator -> worker: WireCacheQuery (many sigs)
-  kCacheReply = 16,   ///< worker -> coordinator: WireCacheReply (the hits)
+  // 15 and 16 carried the retired worker-memo probe and its answer. Never
+  // reuse them, for the same reason as 3 and 4.
   kRequestBatch = 17, ///< coordinator -> worker: WireRequestBatch
   kReplyBatch = 18,   ///< worker -> coordinator: WireReplyBatch
 };
@@ -250,44 +247,18 @@ struct WireErrorMsg {
 };
 
 // ---------------------------------------------------------------------------
-// Cache-aware dispatch payloads (src/cache).
+// Window-solve batch payloads.
 
-/// Batched cache probe: "which of these window signatures do you have a
-/// memoized result for?" Many signatures per frame — the whole point is
-/// amortizing framing + syscall cost across a dispatch chunk.
-struct WireCacheQuery {
-  std::uint64_t query_id = 0;
-  std::vector<WindowSig> sigs;
-};
-
-/// One probe hit: the signature plus the full memoized solve result, which
-/// the coordinator replays exactly as it would a kReplyBatch entry.
-struct WireCacheHit {
-  WindowSig sig;
-  WindowSolveResult result;
-};
-
-/// Worker's answer to a WireCacheQuery: hits only (misses are implied by
-/// absence — the common case, so they cost zero bytes).
-struct WireCacheReply {
-  std::uint64_t query_id = 0;
-  std::vector<WireCacheHit> hits;
-};
-
-/// Coalesced dispatch: several complete WireRequests in one frame. Each
-/// embedded request is self-contained (own req_id, signature, faults), so
-/// batching changes framing only, never solve semantics.
+/// Complete WireRequests in one frame (the coordinator sends one per
+/// frame). Each embedded request is self-contained (own req_id, signature,
+/// faults), so the framing never changes solve semantics.
 struct WireRequestBatch {
   std::vector<WireRequest> requests;
 };
 
-/// One entry of a WireReplyBatch: either a reply or a typed error, plus a
-/// `cached` tag recording that the worker served it from its memo tier
-/// without running the MILP (the coordinator classifies such windows
-/// kCachedRemote).
+/// One entry of a WireReplyBatch: either a reply or a typed error.
 struct WireBatchEntry {
   bool is_error = false;
-  bool cached = false;
   WireReply reply;     ///< valid when !is_error
   WireErrorMsg error;  ///< valid when is_error
 };
@@ -380,12 +351,6 @@ WireSync decode_sync(const std::vector<std::uint8_t>& payload);
 
 std::vector<std::uint8_t> encode_error(const WireErrorMsg& e);
 WireErrorMsg decode_error(const std::vector<std::uint8_t>& payload);
-
-std::vector<std::uint8_t> encode_cache_query(const WireCacheQuery& q);
-WireCacheQuery decode_cache_query(const std::vector<std::uint8_t>& payload);
-
-std::vector<std::uint8_t> encode_cache_reply(const WireCacheReply& r);
-WireCacheReply decode_cache_reply(const std::vector<std::uint8_t>& payload);
 
 std::vector<std::uint8_t> encode_request_batch(const WireRequestBatch& b);
 WireRequestBatch decode_request_batch(

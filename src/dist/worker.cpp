@@ -3,9 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <deque>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -54,78 +52,14 @@ std::vector<int> incident_nets_of(const Design& d,
   return nets;
 }
 
-/// Worker-side memo tier: full-signature -> WindowSolveResult, bounded by
-/// entry and byte caps with FIFO eviction. The worker already recomputes
-/// the canonical window signature for every request (the desync check), so
-/// a probe costs one hash lookup; a hit skips the MILP entirely and
-/// replays the recorded result, which is bit-identical to re-solving
-/// because the signature covers every solve input. Kept across
-/// kBindDesign: signatures are content-complete, so entries from an old
-/// replica stay valid for identical windows of a new one.
-class MemoTier {
- public:
-  static constexpr std::size_t kMaxEntries = 1u << 16;
-  static constexpr std::size_t kMaxBytes = 64u << 20;
-
-  const WindowSolveResult* lookup(const WindowSig& sig) const {
-    auto it = map_.find(sig.a);
-    if (it == map_.end() || it->second.first != sig.b) return nullptr;
-    return &it->second.second;
-  }
-
-  void store(const WindowSig& sig, const WindowSolveResult& res) {
-    static obs::Counter& evict_metric =
-        obs::counter("dist.worker.memo_evictions");
-    auto it = map_.find(sig.a);
-    if (it != map_.end()) {
-      bytes_ -= cost(it->second.second);
-      bytes_ += cost(res);
-      it->second = {sig.b, res};
-    } else {
-      bytes_ += cost(res);
-      fifo_.push_back(sig.a);
-      map_.emplace(sig.a, std::make_pair(sig.b, res));
-    }
-    while ((map_.size() > kMaxEntries || bytes_ > kMaxBytes) &&
-           !fifo_.empty()) {
-      std::uint64_t victim = fifo_.front();
-      fifo_.pop_front();
-      auto vit = map_.find(victim);
-      if (vit == map_.end()) continue;
-      bytes_ -= cost(vit->second.second);
-      map_.erase(vit);
-      evict_metric.add();
-    }
-  }
-
- private:
-  static std::size_t cost(const WindowSolveResult& r) {
-    return sizeof(WindowSolveResult) + 64 + r.error.size() +
-           r.cells.size() * sizeof(int) +
-           r.placements.size() * sizeof(Placement);
-  }
-
-  std::unordered_map<std::uint64_t, std::pair<std::uint64_t,
-                                              WindowSolveResult>>
-      map_;
-  std::deque<std::uint64_t> fifo_;
-  std::size_t bytes_ = 0;
-};
-
-/// Validates, signature-checks, and solves (or memo-serves) one request of
-/// a batch, returning its reply-batch entry: a reply (tagged `cached` when
-/// the memo tier served it) or a typed error. Returns nullopt when the
-/// reply_drop drill fired. Everything transport-level (reply frames,
-/// slow-loris/corrupt drills) stays with the caller.
+/// Validates, signature-checks, and solves one request of a batch,
+/// returning its reply-batch entry: a reply or a typed error. Returns
+/// nullopt when the reply_drop drill fired. Everything transport-level
+/// (reply frames, slow-loris/corrupt drills) stays with the caller.
 std::optional<WireBatchEntry> process_request(const Design* design,
-                                              const WireRequest& rq,
-                                              MemoTier& memo) {
+                                              const WireRequest& rq) {
   static obs::Counter& requests_metric = obs::counter("dist.worker.requests");
   static obs::Counter& desyncs_metric = obs::counter("dist.worker.desyncs");
-  static obs::Counter& memo_hits_metric =
-      obs::counter("dist.worker.memo_hits");
-  static obs::Counter& memo_stores_metric =
-      obs::counter("dist.worker.memo_stores");
   static obs::Histogram& solve_sec_metric =
       obs::histogram("dist_opt.window_solve_sec");
 
@@ -148,6 +82,14 @@ std::optional<WireBatchEntry> process_request(const Design* design,
     if (inst < 0 || inst >= design->netlist().num_instances()) {
       return fail(ErrorCode::kBadRequest, "movable instance out of range");
     }
+  }
+  // The fixed-site mask below is sized and indexed by the window, so a
+  // window outside the replica's core is refused before anything reads it.
+  const Window& win = rq.job.window;
+  if (win.x0 < 0 || win.x0 > win.x1 || win.x1 > design->sites_per_row() ||
+      win.row0 < 0 || win.row0 > win.row1 ||
+      win.row1 >= design->num_rows()) {
+    return fail(ErrorCode::kBadRequest, "window outside the core");
   }
 
   obs::ObsSpan span("dist.worker_request");
@@ -175,11 +117,10 @@ std::optional<WireBatchEntry> process_request(const Design* design,
   sig_opts.greedy_fallback = rq.greedy_fallback;
   sig_opts.params = rq.job.params;
   sig_opts.mip = rq.job.mip;
-  WindowSig sig = window_signature(
-      *design, rq.job.window, rq.job.movable,
-      incident_nets_of(*design, rq.job.movable),
-      fixed_site_mask(*design, rq.job.window, rq.job.movable), sig_opts);
-  if (sig.a != rq.expected_sig.a || sig.b != rq.expected_sig.b) {
+  if (window_signature(*design, win, rq.job.movable,
+                       incident_nets_of(*design, rq.job.movable),
+                       fixed_site_mask(*design, win, rq.job.movable),
+                       sig_opts) != rq.expected_sig) {
     desyncs_metric.add();
     span.arg("outcome", "desync");
     return fail(ErrorCode::kDesync,
@@ -187,20 +128,9 @@ std::optional<WireBatchEntry> process_request(const Design* design,
   }
 
   out.reply.req_id = rq.req_id;
-  // Memo probe rides on the signature just verified, which covers every
-  // solve input including the request's solver limits.
-  if (const WindowSolveResult* hit = memo.lookup(sig)) {
-    memo_hits_metric.add();
-    span.arg("outcome", "memo_hit");
-    out.cached = true;
-    out.reply.result = *hit;
-  } else {
+  {
     obs::ScopedTimer t(solve_sec_metric);
     out.reply.result = solve_window(*design, rq.job, /*cancel=*/nullptr);
-    if (!out.reply.result.failed) {
-      memo.store(sig, out.reply.result);
-      memo_stores_metric.add();
-    }
   }
 
   if (fault::config().enabled() &&
@@ -253,8 +183,7 @@ bool send_reply_frame(int fd, std::vector<std::uint8_t> frame,
 /// the drill simulates. The frame-level drills are keyed on the first
 /// request, so a batch behaves like one big reply on the wire.
 bool handle_request_batch(int fd, const Design* design,
-                          const std::vector<std::uint8_t>& payload,
-                          MemoTier& memo) {
+                          const std::vector<std::uint8_t>& payload) {
   WireRequestBatch batch;
   try {
     batch = decode_request_batch(payload);
@@ -267,7 +196,7 @@ bool handle_request_batch(int fd, const Design* design,
   WireReplyBatch rb;
   rb.entries.reserve(batch.requests.size());
   for (const WireRequest& rq : batch.requests) {
-    if (std::optional<WireBatchEntry> e = process_request(design, rq, memo)) {
+    if (std::optional<WireBatchEntry> e = process_request(design, rq)) {
       rb.entries.push_back(std::move(*e));
     }
   }
@@ -275,34 +204,6 @@ bool handle_request_batch(int fd, const Design* design,
   return send_reply_frame(
       fd, encode_frame(MsgType::kReplyBatch, encode_reply_batch(rb)),
       batch.requests.front().job.key, batch.requests.front().job.widx);
-}
-
-/// Handles one kCacheQuery frame: answers with the memo tier's hits for
-/// the probed signatures. Pure lookup — no fault drills fire here (the
-/// coordinator treats any probe failure as all-miss, so drilling the probe
-/// would only re-test the request path's coverage).
-bool handle_cache_query(int fd, const std::vector<std::uint8_t>& payload,
-                        const MemoTier& memo) {
-  static obs::Counter& queries_metric =
-      obs::counter("dist.worker.cache_queries");
-  static obs::Counter& query_hits_metric =
-      obs::counter("dist.worker.cache_query_hits");
-  WireCacheQuery q;
-  try {
-    q = decode_cache_query(payload);
-  } catch (const WireError& e) {
-    return send_error(fd, e.what());
-  }
-  queries_metric.add();
-  WireCacheReply cr;
-  cr.query_id = q.query_id;
-  for (const WindowSig& sig : q.sigs) {
-    if (const WindowSolveResult* hit = memo.lookup(sig)) {
-      query_hits_metric.add();
-      cr.hits.push_back({sig, *hit});
-    }
-  }
-  return send_frame(fd, MsgType::kCacheReply, encode_cache_reply(cr));
 }
 
 }  // namespace
@@ -316,7 +217,6 @@ int run_worker(int fd, bool send_hello) {
   }
 
   std::optional<Design> design;
-  MemoTier memo;
   std::vector<std::uint8_t> rbuf;
   std::uint8_t chunk[1 << 16];
   for (;;) {
@@ -365,12 +265,9 @@ int run_worker(int fd, bool send_hello) {
         break;
       case MsgType::kRequestBatch:
         if (!handle_request_batch(fd, design ? &*design : nullptr,
-                                  f->payload, memo)) {
+                                  f->payload)) {
           return 1;
         }
-        break;
-      case MsgType::kCacheQuery:
-        if (!handle_cache_query(fd, f->payload, memo)) return 1;
         break;
       case MsgType::kPing:
         try {

@@ -8,15 +8,15 @@
 ///      already went out authenticated during the tcp_attach handshake);
 ///   2. coordinator sends kBindDesign (full replica) before the first
 ///      request, and again whenever it believes the replica is stale;
-///   3. kRequestBatch (one or more windows) -> solve_window on the replica
-///      per window, or a memo-tier replay -> one kReplyBatch whose entries
-///      are replies (tagged `cached` when replayed) or typed errors
-///      (kDesync when the recomputed window signature disagrees with the
-///      request's expected signature — the replica missed a sync);
-///   4. kCacheQuery -> kCacheReply listing the memo tier's hits;
-///   5. kSync applies placement deltas (one-way, no reply);
-///   6. kPing -> kPong echoing the sequence number (heartbeat);
-///   7. kShutdown (or EOF) ends the loop.
+///   3. kRequestBatch -> solve_window on the replica for each window in
+///      it (the coordinator sends one) -> one kReplyBatch whose entries
+///      are replies or typed errors (kDesync when the recomputed window
+///      signature disagrees with the request's expected signature — the
+///      replica missed a sync; kBadRequest when the request names an
+///      instance or a window outside the replica);
+///   4. kSync applies placement deltas (one-way, no reply);
+///   5. kPing -> kPong echoing the sequence number (heartbeat);
+///   6. kShutdown (or EOF) ends the loop.
 /// A frame the worker cannot use at all is answered with a top-level
 /// kError.
 ///

@@ -71,8 +71,8 @@ struct JobManagerOptions {
   unsigned job_threads = 1;
   /// Shared tier-2 solve cache (src/cache). Non-null: every incremental
   /// job probes/writes it, so tenants resubmitting the same design get
-  /// their windows served from the store. Must be thread-safe (the
-  /// PersistentCache wrapper is) and outlive the manager.
+  /// their windows served from the store. Must be thread-safe (both
+  /// src/cache backends are) and outlive the manager.
   CacheBackend* cache = nullptr;
   /// Deadline watcher tick.
   double deadline_poll_sec = 0.02;

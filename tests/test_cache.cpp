@@ -12,10 +12,10 @@
 /// damaged store must degrade to misses, never wrong hits.
 ///
 /// Layer 3 is the acceptance check: a warm rerun through a persistent
-/// store must serve its windows from cache (no MILP) while producing
-/// bit-identical placements, objective, and HPWL — clean and under the
-/// 25% fault storm — and the worker memo tier must do the same for the
-/// processes backend (kCachedRemote), including coalesced dispatch.
+/// store or the in-memory backend must serve its windows from cache (no
+/// MILP) while producing bit-identical placements, objective, and HPWL —
+/// clean and under the 25% fault storm — also when a worker fleet solved
+/// the cold run (kCachedRemote, no request to the fleet).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -552,22 +552,27 @@ TEST_F(CacheEquiv, WarmRerunIsBitIdenticalAndSkipsTheMilp) {
     o.epoch = cache::default_epoch();
     cache::CacheStore store(o);
     cache::PersistentCache pc(&store);
+    cache::MemoryCache mc;
 
-    CacheRun cold = run_with_cache(seed, &pc);
-    EXPECT_GT(cold.stats.cache_stores, 0) << "seed " << seed;
-    EXPECT_EQ(cold.stats.cache_hits, 0) << "seed " << seed;
+    for (CacheBackend* cb : {static_cast<CacheBackend*>(&pc),
+                             static_cast<CacheBackend*>(&mc)}) {
+      const std::string backend = cb == &pc ? " (store)" : " (memory)";
+      CacheRun cold = run_with_cache(seed, cb);
+      EXPECT_GT(cold.stats.cache_stores, 0) << "seed " << seed << backend;
+      EXPECT_EQ(cold.stats.cache_hits, 0) << "seed " << seed << backend;
 
-    CacheRun warm = run_with_cache(seed, &pc);
-    expect_identical(warm, cold, seed);
-    EXPECT_GT(warm.stats.cache_hits, 0) << "seed " << seed;
-    EXPECT_GT(warm.stats.cached_remote, 0) << "seed " << seed;
-    // Acceptance: the warm rerun must skip >= 90% of the windows the cold
-    // run solved with a MILP.
-    long cold_milp = cold.stats.solved + cold.stats.fallback_rounding +
-                     cold.stats.fallback_greedy;
-    long warm_milp = warm.stats.solved + warm.stats.fallback_rounding +
-                     warm.stats.fallback_greedy;
-    EXPECT_LE(warm_milp * 10, cold_milp) << "seed " << seed;
+      CacheRun warm = run_with_cache(seed, cb);
+      expect_identical(warm, cold, seed);
+      EXPECT_GT(warm.stats.cache_hits, 0) << "seed " << seed << backend;
+      EXPECT_GT(warm.stats.cached_remote, 0) << "seed " << seed << backend;
+      // Acceptance: the warm rerun must skip >= 90% of the windows the
+      // cold run solved with a MILP.
+      long cold_milp = cold.stats.solved + cold.stats.fallback_rounding +
+                       cold.stats.fallback_greedy;
+      long warm_milp = warm.stats.solved + warm.stats.fallback_rounding +
+                       warm.stats.fallback_greedy;
+      EXPECT_LE(warm_milp * 10, cold_milp) << "seed " << seed << backend;
+    }
   }
 }
 
@@ -619,7 +624,8 @@ TEST_F(CacheEquivFaults, WarmRerunIsBitIdenticalUnderTheFaultStorm) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 3b: the remote tiers — worker memos and coalesced dispatch.
+// Layer 3b: the processes backend — a cache shared across runs on one
+// fleet, and the fault storm.
 
 CacheRun run_remote(std::uint64_t seed, dist::Coordinator* coord,
                     VM1OptOptions o = cache_opts()) {
@@ -638,69 +644,24 @@ CacheRun run_remote(std::uint64_t seed, dist::Coordinator* coord,
 }
 
 TEST(RemoteCacheTier, WorkerMemoServesRepeatRunsAsCachedRemote) {
+  // Two runs of one design on one fleet, sharing the in-memory backend as
+  // vm1_serve's jobs do: the first solves on the workers, and the second
+  // replays every window from the backend (kCachedRemote) without a single
+  // request to the fleet.
   dist::CoordinatorOptions co;
   co.num_workers = 2;
   dist::Coordinator coord(co);
-  CacheRun first = run_remote(21, &coord);
-  EXPECT_EQ(first.stats.cached_remote, 0)
-      << "a cold fleet has nothing memoized";
-  // Same design, same signatures, same (still warm) workers: the second
-  // run's solves come back from the worker memo tier — tagged cached on
-  // the wire and classified kCachedRemote — or from the batched
-  // kCacheQuery probe before dispatch.
-  CacheRun second = run_remote(21, &coord);
+  cache::MemoryCache mc;
+  VM1OptOptions o = cache_opts();
+  o.cache = &mc;
+  CacheRun first = run_remote(21, &coord, o);
+  EXPECT_GT(first.stats.remote.replies, 0) << "the fleet solved nothing";
+  EXPECT_EQ(first.stats.cached_remote, 0);
+  CacheRun second = run_remote(21, &coord, o);
   expect_identical(second, first, 21);
-  EXPECT_GT(second.stats.cached_remote, 0);
-  EXPECT_GT(second.stats.remote.cache_queries, 0)
-      << "dispatch must probe the fleet before sending solves";
-}
-
-TEST(RemoteCacheTier, MemoServedWindowsBucketTheSameAtEveryCoalesce) {
-  // A window the worker serves from its memo is kCachedRemote however the
-  // frames were packed, and counts no solver work: no MILP ran. Probes are
-  // off, so every repeat solve reaches the memo through a request; one
-  // worker, so no window can move to a worker that never solved it.
-  for (int coalesce : {1, 4}) {
-    dist::CoordinatorOptions co;
-    co.num_workers = 1;
-    co.remote_cache = false;
-    co.coalesce = coalesce;
-    dist::Coordinator coord(co);
-    CacheRun first = run_remote(21, &coord);
-    EXPECT_GT(first.stats.milp_nodes, 0) << "coalesce " << coalesce;
-    CacheRun second = run_remote(21, &coord);
-    expect_identical(second, first, 21);
-    EXPECT_GT(second.stats.windows, 0) << "coalesce " << coalesce;
-    EXPECT_EQ(second.stats.cached_remote, second.stats.windows)
-        << "coalesce " << coalesce;
-    EXPECT_EQ(second.stats.milp_nodes, 0) << "coalesce " << coalesce;
-  }
-}
-
-TEST(RemoteCacheTier, CoalescedDispatchIsBitIdentical) {
-  CacheRun threads;
-  {
-    Design d = cache_design(23);
-    VM1OptOptions o = cache_opts();
-    VM1OptStats s = vm1opt(d, o);
-    threads.placements = d.placements();
-    threads.objective = s.final.value;
-    threads.hpwl = s.final.hpwl;
-    threads.legal = is_legal(d);
-    threads.stats = s;
-  }
-  for (int coalesce : {4, 64}) {
-    dist::CoordinatorOptions co;
-    co.num_workers = 2;
-    co.coalesce = coalesce;
-    dist::Coordinator coord(co);
-    CacheRun proc = run_remote(23, &coord);
-    expect_identical(proc, threads, 23);
-    // Coalescing must reduce traffic: strictly fewer request frames than
-    // windows dispatched (the whole point of kRequestBatch).
-    EXPECT_GT(proc.stats.remote.frames_sent, 0) << "coalesce " << coalesce;
-    EXPECT_GT(proc.stats.remote.replies, 0) << "coalesce " << coalesce;
-  }
+  EXPECT_GT(second.stats.windows, 0);
+  EXPECT_EQ(second.stats.cached_remote, second.stats.windows);
+  EXPECT_EQ(second.stats.remote.requests, 0);
 }
 
 class RemoteCacheFaults : public ::testing::Test {
@@ -712,6 +673,10 @@ class RemoteCacheFaults : public ::testing::Test {
 };
 
 TEST_F(RemoteCacheFaults, CoalescedDispatchSurvivesTheFaultStorm) {
+  // The storm leaves nearly every window to the local fallback: its drills
+  // are keyed on the window, so they fire again on the retry, and the
+  // first batch quarantines both worker slots. What this pins is that the
+  // degraded processes run stays bit-identical to the threads run.
   // Short solver limit: the node limit still binds on these windows, but
   // the limit sets a silent worker's deadline, keeping the storm fast.
   VM1OptOptions o = cache_opts();
@@ -728,14 +693,14 @@ TEST_F(RemoteCacheFaults, CoalescedDispatchSurvivesTheFaultStorm) {
   }
   dist::CoordinatorOptions co;
   co.num_workers = 2;
-  co.coalesce = 8;
   co.request_timeout_sec = 0.75;
   co.quarantine_base_sec = 0.2;
   dist::Coordinator coord(co);
   CacheRun proc = run_remote(29, &coord, o);
   expect_identical(proc, threads, 29);
-  // Some windows must still reach the fleet and come back: a storm routed
-  // wholly around the workers would check nothing remote.
+  // The fleet answers only a couple of windows, so these two checks rule
+  // out a storm routed wholly around the workers; they are not fleet
+  // coverage.
   EXPECT_GT(proc.stats.remote.replies, 0);
   EXPECT_LT(proc.stats.remote.local_fallbacks, proc.stats.windows);
 }

@@ -2,9 +2,9 @@
 ///
 /// Layer 1 drives run_worker() in-process over a socketpair — the exact
 /// loop the vm1_worker executable runs — and checks the protocol: hello,
-/// replica binding, signature-checked request batches, memo-served
-/// replies, sync deltas, typed desync and bad-request entries, the silent
-/// fully-dropped batch, orderly shutdown.
+/// replica binding, signature-checked request batches, sync deltas, typed
+/// desync and bad-request entries (out-of-range instances, windows outside
+/// the core), the silent fully-dropped batch, orderly shutdown.
 ///
 /// Layer 2 runs whole dist_opt()/Coordinator passes against real worker
 /// subprocesses: results must be bit-identical to the threads backend,
@@ -199,7 +199,6 @@ TEST_F(WorkerProtocol, HelloBindSolveShutdown) {
   w.send_request(pw.request);
   WireBatchEntry e = w.recv_entry();
   ASSERT_FALSE(e.is_error) << e.error.message;
-  EXPECT_FALSE(e.cached) << "a fresh worker has nothing memoized";
   const WireReply& rp = e.reply;
   EXPECT_EQ(rp.req_id, pw.request.req_id);
   EXPECT_FALSE(rp.result.failed);
@@ -214,15 +213,6 @@ TEST_F(WorkerProtocol, HelloBindSolveShutdown) {
   }
   EXPECT_EQ(rp.result.objective, local.objective);
   EXPECT_EQ(rp.result.warm_obj, local.warm_obj);
-
-  // The same request again is served from the worker's memo tier: tagged
-  // cached, with the identical result.
-  w.send_request(pw.request);
-  WireBatchEntry again = w.recv_entry();
-  ASSERT_FALSE(again.is_error) << again.error.message;
-  EXPECT_TRUE(again.cached);
-  EXPECT_EQ(again.reply.result.placements, rp.result.placements);
-  EXPECT_EQ(again.reply.result.objective, rp.result.objective);
 
   w.send(MsgType::kShutdown, {});
   EXPECT_EQ(w.finish(), 0);
@@ -263,7 +253,7 @@ TEST_F(WorkerProtocol, DesyncedReplicaReportsTypedErrorThenRecovers) {
 TEST_F(WorkerProtocol, SignsAndMemoizesUnderTheRequestMip) {
   // The worker signs its replica check with the request's own solver
   // limits, so a request signed over limits other than the defaults solves
-  // (no desync) and the same request again is served from the memo tier.
+  // (no desync) within those limits.
   Design d = placed_design(5);
   DistOptOptions o = base_opts();
   o.mip.max_nodes = 7;
@@ -277,14 +267,7 @@ TEST_F(WorkerProtocol, SignsAndMemoizesUnderTheRequestMip) {
   w.send_request(pw.request);
   WireBatchEntry first = w.recv_entry();
   ASSERT_FALSE(first.is_error) << first.error.message;
-  EXPECT_FALSE(first.cached);
   EXPECT_LE(first.reply.result.nodes, 7);
-
-  w.send_request(pw.request);
-  WireBatchEntry again = w.recv_entry();
-  ASSERT_FALSE(again.is_error) << again.error.message;
-  EXPECT_TRUE(again.cached);
-  EXPECT_EQ(again.reply.result.placements, first.reply.result.placements);
 
   w.send(MsgType::kShutdown, {});
   EXPECT_EQ(w.finish(), 0);
@@ -341,6 +324,39 @@ TEST_F(WorkerProtocol, OutOfRangeInstanceIsBadRequestNotUB) {
   WireBatchEntry err = w.recv_entry();
   ASSERT_TRUE(err.is_error);
   EXPECT_EQ(err.error.code, ErrorCode::kBadRequest);
+  w.send(MsgType::kShutdown, {});
+  EXPECT_EQ(w.finish(), 0);
+}
+
+TEST_F(WorkerProtocol, InvertedWindowIsBadRequestThenRecovers) {
+  // A window whose far edge lies before its near one (x1 < x0, or
+  // row1 < row0) would size the worker's site mask with a negative extent:
+  // the worker answers it with a typed entry instead of crashing, and
+  // keeps serving.
+  Design d = placed_design(6);
+  DistOptOptions o = base_opts();
+  PreparedWindow pw = prepare_window(d, o);
+
+  WorkerHarness w;
+  ASSERT_EQ(w.recv().type, MsgType::kHello);
+  w.send(MsgType::kBindDesign, encode_design(d));
+  WireRequest cols = pw.request;
+  cols.job.window.x1 = cols.job.window.x0 - 2;
+  WireRequest rows = pw.request;
+  rows.job.window.row1 = rows.job.window.row0 - 2;
+  for (const WireRequest& bad : {cols, rows}) {
+    w.send_request(bad);
+    WireBatchEntry err = w.recv_entry();
+    ASSERT_TRUE(err.is_error);
+    EXPECT_EQ(err.error.code, ErrorCode::kBadRequest);
+    EXPECT_EQ(err.error.req_id, bad.req_id);
+  }
+
+  w.send_request(pw.request);
+  WireBatchEntry e = w.recv_entry();
+  ASSERT_FALSE(e.is_error) << e.error.message;
+  EXPECT_FALSE(e.reply.result.failed);
+
   w.send(MsgType::kShutdown, {});
   EXPECT_EQ(w.finish(), 0);
 }

@@ -2,8 +2,9 @@
 /// for every seed, a random small design is optimized twice — incremental
 /// on vs off — and the final placements, objective, HPWL, alignment count,
 /// and legality must match bit-for-bit. Variants cover serial and parallel
-/// pools, and fault-injection drills (VM1_FAULTS schedules are part of the
-/// window signature, so they replay identically in both modes).
+/// pools, fault-injection drills (VM1_FAULTS schedules are part of the
+/// window signature, so they replay identically in both modes), and two
+/// concurrent runs sharing the in-memory solve cache on 4-thread pools.
 ///
 /// Options are chosen so every solver limit that binds is deterministic
 /// (node counts), never wall-clock: theta = 0 plus several inner
@@ -14,8 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <vector>
 
+#include "cache/solve_cache.h"
 #include "core/vm1opt.h"
 #include "design/legality.h"
 #include "place/global_placer.h"
@@ -75,15 +78,20 @@ struct RunResult {
   bool legal = false;
   long skipped = 0;
   long signature_hits = 0;
+  long cache_hits = 0;
+  long milp_solves = 0;
 };
 
-RunResult run(std::uint64_t seed, bool incremental, unsigned threads) {
+RunResult run(std::uint64_t seed, bool incremental, unsigned threads,
+              CacheBackend* cache = nullptr) {
   Design d = random_design(seed);
   VM1OptOptions o = equiv_opts(seed, threads);
   o.incremental = incremental;
+  o.cache = cache;
   VM1OptStats s = vm1opt(d, o);
   EXPECT_EQ(s.solved + s.fallback_rounding + s.fallback_greedy +
-                s.rejected_audit + s.kept + s.faulted + s.skipped,
+                s.rejected_audit + s.kept + s.faulted + s.skipped +
+                s.cached_remote,
             s.windows)
       << "outcome buckets must sum to windows (seed " << seed << ")";
   RunResult r;
@@ -94,6 +102,8 @@ RunResult run(std::uint64_t seed, bool incremental, unsigned threads) {
   r.legal = is_legal(d);
   r.skipped = s.skipped;
   r.signature_hits = s.signature_hits;
+  r.cache_hits = s.cache_hits;
+  r.milp_solves = s.solved + s.fallback_rounding + s.fallback_greedy;
   return r;
 }
 
@@ -146,6 +156,29 @@ TEST(IncrementalEquiv, ParallelMatchesSerialIncremental) {
     RunResult parallel = run(seed, /*incremental=*/true, /*threads=*/3);
     expect_identical(parallel, serial, seed);
     EXPECT_EQ(parallel.skipped, serial.skipped) << "seed " << seed;
+  }
+}
+
+TEST(IncrementalEquiv, ParallelWarmRerunThroughTheMemoryCache) {
+  // Two cold runs on four pool threads each share the in-memory backend,
+  // as two service jobs do: one run's write-through races the other's
+  // probes. Both match a run without the cache, and a warm rerun then
+  // replays every window: bit-identical, and without a MILP.
+  for (std::uint64_t seed = 501; seed <= 500 + kVariantSeeds; ++seed) {
+    RunResult ref = run(seed, /*incremental=*/true, /*threads=*/4);
+    cache::MemoryCache mc;
+    RunResult cold[2];
+    std::thread other(
+        [&] { cold[1] = run(seed, /*incremental=*/true, /*threads=*/4, &mc); });
+    cold[0] = run(seed, /*incremental=*/true, /*threads=*/4, &mc);
+    other.join();
+    RunResult warm = run(seed, /*incremental=*/true, /*threads=*/4, &mc);
+    expect_identical(cold[0], ref, seed);
+    expect_identical(cold[1], ref, seed);
+    expect_identical(warm, ref, seed);
+    EXPECT_GT(ref.milp_solves, 0) << "seed " << seed;
+    EXPECT_GT(warm.cache_hits, 0) << "seed " << seed;
+    EXPECT_EQ(warm.milp_solves, 0) << "seed " << seed;
   }
 }
 

@@ -768,15 +768,12 @@ TEST_F(SvcSoak, ThreeTenantsFairSharesAllTerminalBitIdentical) {
   const std::vector<TenantConfig> tenants = {TenantConfig{"bronze", 1.0, 8},
                                              TenantConfig{"silver", 2.0, 8},
                                              TenantConfig{"gold", 3.0, 8}};
-  // Worker-memo probing off for the same reason the comment below gives:
-  // the fairness census needs the fleet to be the bottleneck, and the
-  // cache tier exists precisely to stop repeat windows from loading the
-  // fleet — memo-served batches drain demand below each tenant's
-  // entitlement and DRR correctly lets the shares flatten. (Cache-tier
-  // correctness under a shared fleet is test_cache's job.)
-  dist::CoordinatorOptions co;
-  co.remote_cache = false;
-  dist::Coordinator coord(co);
+  // No solve cache: the fairness census needs the fleet to be the
+  // bottleneck, and a cache exists precisely to stop repeat windows from
+  // loading the fleet — cache-served batches drain demand below each
+  // tenant's entitlement and DRR correctly lets the shares flatten.
+  // (Cache correctness under a shared fleet is test_cache's job.)
+  dist::Coordinator coord(dist::CoordinatorOptions{});
   JobManagerOptions mo;
   mo.tenants = tenants;
   // Two runners per tenant: a tenant with only ONE job in flight has no

@@ -83,30 +83,20 @@ WireReply sample_reply(std::uint64_t seed) {
   return rp;
 }
 
-/// A reply batch with one entry of each kind: a fresh reply, a memo-served
-/// (`cached`) reply, and a typed error.
+/// A reply batch with two replies and a typed error.
 WireReplyBatch sample_reply_batch(std::uint64_t seed) {
   WireReplyBatch b;
-  WireBatchEntry fresh;
-  fresh.reply = sample_reply(seed);
-  WireBatchEntry cached;
-  cached.cached = true;
-  cached.reply = sample_reply(seed + 1);
+  WireBatchEntry first;
+  first.reply = sample_reply(seed);
+  WireBatchEntry second;
+  second.reply = sample_reply(seed + 1);
   WireBatchEntry err;
   err.is_error = true;
   err.error.req_id = 41;
   err.error.code = ErrorCode::kDesync;
   err.error.message = "window signature mismatch (stale replica)";
-  b.entries = {fresh, cached, err};
+  b.entries = {first, second, err};
   return b;
-}
-
-WireCacheReply sample_cache_reply(std::uint64_t seed) {
-  WireCacheReply cr;
-  cr.query_id = seed;
-  cr.hits.push_back({WindowSig{seed, ~seed}, sample_reply(seed).result});
-  cr.hits.push_back({WindowSig{3, 4}, sample_reply(seed + 2).result});
-  return cr;
 }
 
 TEST(WireFrame, RoundTripsBitExact) {
@@ -283,17 +273,16 @@ TEST(WireMessages, BatchAndCacheFramesRoundTrip) {
               rqb.requests[i].expected_sig.a);
   }
 
-  // One entry of each kind: the `cached` tag and the error entry's own
-  // req_id must survive, since the coordinator resolves entries one by one.
+  // Replies and an error entry: every entry's own req_id must survive,
+  // since the coordinator resolves entries one by one.
   WireReplyBatch rb = sample_reply_batch(8);
   WireReplyBatch rb2 = decode_reply_batch(encode_reply_batch(rb));
   ASSERT_EQ(rb2.entries.size(), 3u);
   EXPECT_FALSE(rb2.entries[0].is_error);
-  EXPECT_FALSE(rb2.entries[0].cached);
   EXPECT_EQ(rb2.entries[0].reply.req_id, rb.entries[0].reply.req_id);
   expect_same_result(rb2.entries[0].reply.result, rb.entries[0].reply.result);
   EXPECT_FALSE(rb2.entries[1].is_error);
-  EXPECT_TRUE(rb2.entries[1].cached);
+  EXPECT_EQ(rb2.entries[1].reply.req_id, rb.entries[1].reply.req_id);
   expect_same_result(rb2.entries[1].reply.result, rb.entries[1].reply.result);
   EXPECT_TRUE(rb2.entries[2].is_error);
   EXPECT_EQ(rb2.entries[2].error.req_id, 41u);
@@ -305,25 +294,6 @@ TEST(WireMessages, BatchAndCacheFramesRoundTrip) {
   // codec must not care).
   EXPECT_TRUE(decode_request_batch(encode_request_batch({})).requests.empty());
   EXPECT_TRUE(decode_reply_batch(encode_reply_batch({})).entries.empty());
-
-  WireCacheQuery q;
-  q.query_id = 12;
-  q.sigs = {WindowSig{1, 2}, WindowSig{~0ull, 0}};
-  WireCacheQuery q2 = decode_cache_query(encode_cache_query(q));
-  EXPECT_EQ(q2.query_id, q.query_id);
-  ASSERT_EQ(q2.sigs.size(), 2u);
-  EXPECT_EQ(q2.sigs[1].a, ~0ull);
-  EXPECT_EQ(q2.sigs[1].b, 0u);
-
-  WireCacheReply cr = sample_cache_reply(13);
-  WireCacheReply cr2 = decode_cache_reply(encode_cache_reply(cr));
-  EXPECT_EQ(cr2.query_id, cr.query_id);
-  ASSERT_EQ(cr2.hits.size(), cr.hits.size());
-  for (std::size_t i = 0; i < cr.hits.size(); ++i) {
-    EXPECT_EQ(cr2.hits[i].sig.a, cr.hits[i].sig.a);
-    EXPECT_EQ(cr2.hits[i].sig.b, cr.hits[i].sig.b);
-    expect_same_result(cr2.hits[i].result, cr.hits[i].result);
-  }
 }
 
 TEST(WireDesign, ReplicaRoundTripsToIdenticalDigest) {
@@ -393,12 +363,6 @@ TEST(WireFuzz, MutatedFramesNeverEscapeWireError) {
       encode_frame(MsgType::kRequestBatch, encode_request_batch(rqb)));
   corpus.push_back(encode_frame(MsgType::kReplyBatch,
                                 encode_reply_batch(sample_reply_batch(2))));
-  WireCacheQuery q;
-  q.query_id = 5;
-  q.sigs = {WindowSig{1, 2}, WindowSig{3, 4}};
-  corpus.push_back(encode_frame(MsgType::kCacheQuery, encode_cache_query(q)));
-  corpus.push_back(encode_frame(MsgType::kCacheReply,
-                                encode_cache_reply(sample_cache_reply(6))));
   WireSync sync;
   sync.changed = {{0, Placement{1, 1, false}}};
   corpus.push_back(encode_frame(MsgType::kSync, encode_sync(sync)));
@@ -426,12 +390,6 @@ TEST(WireFuzz, MutatedFramesNeverEscapeWireError) {
         case MsgType::kReplyBatch:
           decode_reply_batch(f->payload);
           break;
-        case MsgType::kCacheQuery:
-          decode_cache_query(f->payload);
-          break;
-        case MsgType::kCacheReply:
-          decode_cache_reply(f->payload);
-          break;
         case MsgType::kSync:
           decode_sync(f->payload);
           break;
@@ -457,12 +415,6 @@ TEST(WireFuzz, MutatedPayloadsNeverEscapeWireError) {
   std::vector<std::uint8_t> request_batch_bytes = encode_request_batch(rqb);
   std::vector<std::uint8_t> reply_batch_bytes =
       encode_reply_batch(sample_reply_batch(10));
-  WireCacheQuery q;
-  q.query_id = 11;
-  q.sigs = {WindowSig{1, 2}, WindowSig{3, 4}, WindowSig{5, 6}};
-  std::vector<std::uint8_t> cache_query_bytes = encode_cache_query(q);
-  std::vector<std::uint8_t> cache_reply_bytes =
-      encode_cache_reply(sample_cache_reply(12));
 
   Rng rng(77);
   auto mutate = [&rng](std::vector<std::uint8_t> b) {
@@ -493,14 +445,6 @@ TEST(WireFuzz, MutatedPayloadsNeverEscapeWireError) {
     }
     try {
       decode_reply_batch(mutate(reply_batch_bytes));
-    } catch (const WireError&) {
-    }
-    try {
-      decode_cache_query(mutate(cache_query_bytes));
-    } catch (const WireError&) {
-    }
-    try {
-      decode_cache_reply(mutate(cache_reply_bytes));
     } catch (const WireError&) {
     }
   }
