@@ -134,9 +134,6 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
   passes_metric.add();
   obs::ScopedTimer pass_timer(pass_sec_metric);
 
-  WindowGrid grid = partition_windows(d, opts.tx, opts.ty, opts.bw, opts.bh);
-  std::vector<std::vector<int>> batches = diagonal_batches(grid);
-
   // Incremental engine (see core/incremental.h). The state is owned by the
   // caller (vm1opt or a test) so memo entries and dirty generations persist
   // across passes; without one this pass degenerates to full re-solve.
@@ -145,13 +142,20 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
   // check. The fixed-site masks come from one scan over the design and stay
   // exact through this pass's apply phases (see window_fixed_masks).
   IncrementalState* inc = opts.incremental ? opts.inc : nullptr;
+  WindowGrid grid;
+  std::vector<std::vector<int>> batches;
   std::vector<std::vector<int>> incident_nets;
   std::vector<SiteMask> fixed_masks;
-  if (inc || coord) {
-    incident_nets = window_incident_nets(grid, d.netlist());
-    fixed_masks = window_fixed_masks(grid, d);
+  {
+    obs::ObsSpan setup_span("dist_opt.setup");
+    grid = partition_windows(d, opts.tx, opts.ty, opts.bw, opts.bh);
+    batches = diagonal_batches(grid);
+    if (inc || coord) {
+      incident_nets = window_incident_nets(grid, d.netlist());
+      fixed_masks = window_fixed_masks(grid, d);
+    }
+    if (inc) inc->bind(d);
   }
-  if (inc) inc->bind(d);
   // The incremental state persists across passes; report this pass's
   // eviction delta, not the lifetime total.
   const long memo_evictions_base = inc ? inc->memo_evictions() : 0;
@@ -175,6 +179,37 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
   obs::ProgressReporter progress("dist_opt", total_jobs);
 
   for (const std::vector<int>& batch : batches) {
+    int windows = 0;
+    for (int widx : batch) windows += grid.movable[widx].empty() ? 0 : 1;
+    if (windows == 0) continue;  // nothing to solve, sync, or account
+
+    // Fleet gate: from first dispatch through sync and stats collection
+    // the shared coordinator belongs to this job. acquire() blocks until
+    // the fair-share scheduler grants the slot; lease() rebinds replicas
+    // when another job ran since our last batch.
+    struct Gate {
+      BatchThrottle* t = nullptr;
+      ~Gate() {
+        if (t) t->release();
+      }
+    } gate;
+    if (fleet) {
+      if (opts.throttle) {
+        opts.throttle->acquire(windows);
+        gate.t = opts.throttle;
+      }
+      coord->lease(opts.fleet_token);
+    }
+
+    // The processes backend prepares the whole batch serially under one
+    // span: the window jobs, their signatures and their memo and cache
+    // probes. The threads backend prepares each window inside its
+    // dist_opt.window_solve span instead.
+    std::optional<obs::ObsSpan> prepare_span;
+    if (coord) {
+      prepare_span.emplace("dist_opt.prepare");
+      prepare_span->arg("windows", windows);
+    }
     std::vector<std::unique_ptr<Job>> jobs;
     for (int widx : batch) {
       if (grid.movable[widx].empty()) continue;
@@ -197,25 +232,6 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
       job->in.params = opts.params;
       job->in.mip = opts.mip;
       jobs.push_back(std::move(job));
-    }
-    if (jobs.empty()) continue;  // nothing to solve, sync, or account
-
-    // Fleet gate: from first dispatch through sync and stats collection
-    // the shared coordinator belongs to this job. acquire() blocks until
-    // the fair-share scheduler grants the slot; lease() rebinds replicas
-    // when another job ran since our last batch.
-    struct Gate {
-      BatchThrottle* t = nullptr;
-      ~Gate() {
-        if (t) t->release();
-      }
-    } gate;
-    if (fleet) {
-      if (opts.throttle) {
-        opts.throttle->acquire(static_cast<int>(jobs.size()));
-        gate.t = opts.throttle;
-      }
-      coord->lease(opts.fleet_token);
     }
 
     // Shared per-window preparation: cancellation check and memo probe —
@@ -241,7 +257,7 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
         // signature even without an incremental state: it rides along in
         // the request so the worker can prove its replica agrees.
         job.sig = window_signature(d, grid.windows[job.in.widx],
-                                   job.in.movable,
+                                   job.in.movable, grid.owner, job.in.widx,
                                    incident_nets[job.in.widx],
                                    fixed_masks[job.in.widx], opts);
         job.sig_valid = true;
@@ -290,6 +306,7 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
         rj.greedy_fallback = opts.greedy_fallback;
         remote.push_back(rj);
       }
+      prepare_span.reset();
       if (!remote.empty()) {
         coord->solve_batch(d, remote, &cancelled);
         progress.advance(static_cast<long>(remote.size()));
@@ -592,7 +609,10 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
     memo_evict_metric.add(stats.memo_evictions);
   }
 
-  stats.objective = evaluate_objective(d, opts.params);
+  {
+    obs::ObsSpan objective_span("dist_opt.objective");
+    stats.objective = evaluate_objective(d, opts.params);
+  }
   stats.seconds = timer.seconds();
   objective_metric.set(stats.objective.value);
   return stats;

@@ -1,7 +1,5 @@
 #include "core/incremental.h"
 
-#include <algorithm>
-
 #include "util/fault_injection.h"
 
 namespace vm1 {
@@ -99,6 +97,7 @@ void IncrementalState::clear() {
 
 WindowSig window_signature(const Design& d, const Window& win,
                            const std::vector<int>& movable,
+                           const std::vector<int>& owner, int self,
                            const std::vector<int>& incident_nets,
                            const SiteMask& fixed_mask,
                            const DistOptOptions& opts) {
@@ -186,18 +185,19 @@ WindowSig window_signature(const Design& d, const Window& win,
     h.add_int(net);
     h.add_double(p.beta_of(net));
     for (const NetPin& np : nl.net(net).pins) {
-      const bool owned =
-          !np.is_io() &&
-          std::binary_search(movable.begin(), movable.end(), np.inst);
-      if (owned) continue;
+      if (np.is_io()) {
+        const Point& pos = d.io_position(np.pin);
+        h.add_int(static_cast<long long>(pos.x));
+        h.add_int(static_cast<long long>(pos.y));
+        continue;
+      }
+      if (owner[static_cast<std::size_t>(np.inst)] == self) continue;
       Point pos = d.pin_position(np);
       h.add_int(static_cast<long long>(pos.x));
       h.add_int(static_cast<long long>(pos.y));
-      if (!np.is_io()) {
-        std::pair<Coord, Coord> span = d.pin_span_abs(np.inst, np.pin);
-        h.add_int(static_cast<long long>(span.first));
-        h.add_int(static_cast<long long>(span.second));
-      }
+      std::pair<Coord, Coord> span = d.pin_span_abs(np.inst, np.pin);
+      h.add_int(static_cast<long long>(span.first));
+      h.add_int(static_cast<long long>(span.second));
     }
   }
 

@@ -164,13 +164,18 @@ class IncrementalState {
 /// fault-injection config, the movable cells' ids and placements, the
 /// fixed-site mask, and — for every incident net — each pin *not* owned by
 /// a movable cell (boundary terminals: position, and span for instance
-/// pins). `movable` must be sorted ascending (partition_windows builds it
-/// that way). `fixed_mask` must equal fixed_site_mask(d, win, movable):
-/// dist_opt passes its pass's window_fixed_masks entry, and a caller without
-/// a window grid computes it. The signature reads only the window's own
+/// pins). `movable` is hashed in its given order (partition_windows builds
+/// it ascending). Ownership is one lookup per pin: `owner` is indexed by
+/// instance, and `owner[i] == self` exactly for the instances in `movable`
+/// — dist_opt passes its grid's WindowGrid::owner and the window index; a
+/// caller without a grid marks `movable` on an array of its own.
+/// `fixed_mask` must equal fixed_site_mask(d, win, movable): dist_opt
+/// passes its pass's window_fixed_masks entry, and a caller without a
+/// window grid computes it. The signature reads only the window's own
 /// cells, nets and sites, never the whole design.
 WindowSig window_signature(const Design& d, const Window& win,
                            const std::vector<int>& movable,
+                           const std::vector<int>& owner, int self,
                            const std::vector<int>& incident_nets,
                            const SiteMask& fixed_mask,
                            const DistOptOptions& opts);

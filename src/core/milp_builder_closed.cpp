@@ -531,36 +531,53 @@ milp::RoundingHeuristic BuiltMilp::make_heuristic() const {
 
 // --- Full-design objective ---------------------------------------------------
 
-std::pair<long, double> count_net_alignments(const Design& d, int net,
-                                             const VM1Params& params) {
-  const Netlist& nl = d.netlist();
-  const Net& n = nl.net(net);
-  const double H = static_cast<double>(d.tech().row_height());
-  const bool open = d.library().arch() == CellArch::kOpenM1;
+namespace {
+
+/// One instance pin of a net, read once for both the net's HPWL and its
+/// alignment pairs.
+struct GatheredPin {
+  int inst;
+  Coord x;       ///< Design::pin_position
+  Coord y;
+  Coord lo, hi;  ///< Design::pin_span_abs
+};
+
+/// Appends the instance pins of `n` to `pins` in net order (IO pins are
+/// left out) and returns the bounding box of all its connection points.
+BBox gather_net_pins(const Design& d, const Net& n,
+                     std::vector<GatheredPin>& pins) {
+  BBox box;
+  for (const NetPin& np : n.pins) {
+    const Point pos = d.pin_position(np);
+    box.add(pos);
+    if (np.is_io()) continue;
+    const auto [lo, hi] = d.pin_span_abs(np.inst, np.pin);
+    pins.push_back(GatheredPin{np.inst, pos.x, pos.y, lo, hi});
+  }
+  return box;
+}
+
+/// Aligned (ClosedM1) / overlapped (OpenM1) pairs among `pins`, visited
+/// i < j in gather order so the overlap sum adds up in one fixed order.
+std::pair<long, double> count_pin_pairs(const std::vector<GatheredPin>& pins,
+                                        double H, bool open,
+                                        const VM1Params& params) {
   long count = 0;
   double overlap_sum = 0;
-
-  std::vector<NetPin> pins;
-  for (const NetPin& p : n.pins) {
-    if (!p.is_io()) pins.push_back(p);
-  }
   for (std::size_t i = 0; i < pins.size(); ++i) {
+    const GatheredPin& p = pins[i];
     for (std::size_t j = i + 1; j < pins.size(); ++j) {
-      if (pins[i].inst == pins[j].inst) continue;
-      double dy = std::abs(
-          static_cast<double>(d.pin_y_abs(pins[i].inst, pins[i].pin)) -
-          static_cast<double>(d.pin_y_abs(pins[j].inst, pins[j].pin)));
+      const GatheredPin& q = pins[j];
+      if (p.inst == q.inst) continue;
+      double dy =
+          std::abs(static_cast<double>(p.y) - static_cast<double>(q.y));
       if (!open) {
         if (dy > params.gamma_closed * H) continue;
-        Point a = d.pin_position(pins[i]);
-        Point b = d.pin_position(pins[j]);
-        if (a.x == b.x) ++count;
+        if (p.x == q.x) ++count;
       } else {
         if (dy > params.gamma * H) continue;
-        auto [plo, phi] = d.pin_span_abs(pins[i].inst, pins[i].pin);
-        auto [qlo, qhi] = d.pin_span_abs(pins[j].inst, pins[j].pin);
-        double ov = static_cast<double>(std::min(phi, qhi)) -
-                    static_cast<double>(std::max(plo, qlo));
+        double ov = static_cast<double>(std::min(p.hi, q.hi)) -
+                    static_cast<double>(std::max(p.lo, q.lo));
         if (ov >= static_cast<double>(params.delta)) {
           ++count;
           overlap_sum += ov - static_cast<double>(params.delta);
@@ -571,17 +588,33 @@ std::pair<long, double> count_net_alignments(const Design& d, int net,
   return {count, overlap_sum};
 }
 
+}  // namespace
+
+std::pair<long, double> count_net_alignments(const Design& d, int net,
+                                             const VM1Params& params) {
+  std::vector<GatheredPin> pins;
+  gather_net_pins(d, d.netlist().net(net), pins);
+  return count_pin_pairs(pins, static_cast<double>(d.tech().row_height()),
+                         d.library().arch() == CellArch::kOpenM1, params);
+}
+
 ObjectiveBreakdown evaluate_objective(const Design& d,
                                       const VM1Params& params) {
   ObjectiveBreakdown out;
   const bool open = d.library().arch() == CellArch::kOpenM1;
+  const double H = static_cast<double>(d.tech().row_height());
+  const Netlist& nl = d.netlist();
   double weighted_hpwl = 0;
-  for (int net = 0; net < d.netlist().num_nets(); ++net) {
-    if (!d.netlist().net(net).routable()) continue;
-    double w = static_cast<double>(net_hpwl(d, net));
+  std::vector<GatheredPin> pins;
+  for (int net = 0; net < nl.num_nets(); ++net) {
+    const Net& n = nl.net(net);
+    if (!n.routable()) continue;
+    pins.clear();
+    double w = static_cast<double>(
+        gather_net_pins(d, n, pins).rect().half_perimeter());
     out.hpwl += w;
     weighted_hpwl += params.beta_of(net) * w;
-    auto [cnt, ovl] = count_net_alignments(d, net, params);
+    auto [cnt, ovl] = count_pin_pairs(pins, H, open, params);
     out.alignments += cnt;
     out.overlap_sum += ovl;
   }

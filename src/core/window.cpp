@@ -35,6 +35,7 @@ WindowGrid partition_windows(const Design& d, int tx, int ty, int bw,
   grid.movable.resize(grid.windows.size());
 
   const Netlist& nl = d.netlist();
+  grid.owner.assign(static_cast<std::size_t>(nl.num_instances()), -1);
   for (int i = 0; i < nl.num_instances(); ++i) {
     const Placement& p = d.placement(i);
     const Cell& c = nl.cell_of(i);
@@ -45,6 +46,7 @@ WindowGrid partition_windows(const Design& d, int tx, int ty, int bw,
     std::size_t idx = static_cast<std::size_t>(wy) * grid.grid_x + wx;
     if (grid.windows[idx].contains_footprint(p.x, p.row, c.width_sites)) {
       grid.movable[idx].push_back(i);
+      grid.owner[static_cast<std::size_t>(i)] = static_cast<int>(idx);
     }
   }
   return grid;
@@ -101,12 +103,8 @@ std::vector<SiteMask> window_fixed_masks(const WindowGrid& grid,
     masks.emplace_back(w.rows(), std::vector<bool>(w.width(), false));
   }
   const Netlist& nl = d.netlist();
-  std::vector<bool> movable(nl.num_instances(), false);
-  for (const std::vector<int>& cells : grid.movable) {
-    for (int inst : cells) movable[inst] = true;
-  }
   for (int i = 0; i < nl.num_instances(); ++i) {
-    if (movable[i]) continue;
+    if (grid.owner[static_cast<std::size_t>(i)] >= 0) continue;
     const Placement& p = d.placement(i);
     if (p.row < 0 || p.row >= d.num_rows()) continue;
     const int lo = std::max(p.x, 0);

@@ -20,6 +20,9 @@ namespace vm1 {
 struct WindowGrid {
   std::vector<Window> windows;
   std::vector<std::vector<int>> movable;  ///< per window: movable insts
+  /// Per instance: the window it is movable in, or -1 (movable nowhere).
+  /// owner[i] == w exactly for the instances in movable[w].
+  std::vector<int> owner;
   int grid_x = 0;  ///< number of window columns
   int grid_y = 0;  ///< number of window rows
   /// Pitch and origin: window (wx, wy) covers sites [tx + wx*bw,

@@ -34,31 +34,6 @@ Rect Design::cell_rect(int inst) const {
   return Rect(x, y, x + c.width_dbu(tech_), y + tech_.row_height());
 }
 
-Point Design::pin_position(const NetPin& np) const {
-  if (np.is_io()) return io_pos_[np.pin];
-  const Placement& p = place_[np.inst];
-  const Cell& c = netlist_->cell_of(np.inst);
-  Coord x = static_cast<Coord>(p.x) * tech_.site_width() +
-            c.pin_x_track(np.pin, p.flipped);
-  Coord y = static_cast<Coord>(p.row) * tech_.row_height() +
-            c.pins[np.pin].y_off;
-  return Point{x, y};
-}
-
-std::pair<Coord, Coord> Design::pin_span_abs(int inst, int pin) const {
-  const Placement& p = place_[inst];
-  const Cell& c = netlist_->cell_of(inst);
-  auto [lo, hi] = c.pin_span(pin, p.flipped);
-  Coord x = static_cast<Coord>(p.x) * tech_.site_width();
-  return {x + lo, x + hi};
-}
-
-Coord Design::pin_y_abs(int inst, int pin) const {
-  const Placement& p = place_[inst];
-  const Cell& c = netlist_->cell_of(inst);
-  return static_cast<Coord>(p.row) * tech_.row_height() + c.pins[pin].y_off;
-}
-
 double Design::utilization() const {
   double used = static_cast<double>(netlist_->total_sites());
   double avail =

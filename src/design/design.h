@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "netlist/netlist.h"
@@ -52,15 +53,34 @@ class Design {
   Rect cell_rect(int inst) const;
 
   /// Absolute position of a net connection point (instance pin x_track /
-  /// M0 midpoint, or IO terminal location), in DBU.
-  Point pin_position(const NetPin& np) const;
+  /// M0 midpoint, or IO terminal location), in DBU. Instance pins read the
+  /// netlist's flat copy of the master's offsets (Netlist::pin_offset), so
+  /// this equals the Cell::pin_x_track formula without touching the library.
+  Point pin_position(const NetPin& np) const {
+    if (np.is_io()) return io_pos_[np.pin];
+    const Placement& p = place_[np.inst];
+    const PinOffset& o = netlist_->pin_offset(np.inst, np.pin);
+    Coord x = static_cast<Coord>(p.x) * tech_.site_width() +
+              (p.flipped ? o.width - o.x_track : o.x_track);
+    Coord y = static_cast<Coord>(p.row) * tech_.row_height() + o.y_off;
+    return Point{x, y};
+  }
 
   /// Absolute horizontal projection [xmin, xmax] of an instance pin
-  /// (equal endpoints for 1D ClosedM1 pins).
-  std::pair<Coord, Coord> pin_span_abs(int inst, int pin) const;
+  /// (equal endpoints for 1D ClosedM1 pins); the Cell::pin_span formula.
+  std::pair<Coord, Coord> pin_span_abs(int inst, int pin) const {
+    const Placement& p = place_[inst];
+    const PinOffset& o = netlist_->pin_offset(inst, pin);
+    Coord x = static_cast<Coord>(p.x) * tech_.site_width();
+    if (p.flipped) return {x + (o.width - o.xmax), x + (o.width - o.xmin)};
+    return {x + o.xmin, x + o.xmax};
+  }
 
   /// Absolute y coordinate of an instance pin.
-  Coord pin_y_abs(int inst, int pin) const;
+  Coord pin_y_abs(int inst, int pin) const {
+    return static_cast<Coord>(place_[inst].row) * tech_.row_height() +
+           netlist_->pin_offset(inst, pin).y_off;
+  }
 
   /// Fraction of core sites covered by non-filler cells.
   double utilization() const;

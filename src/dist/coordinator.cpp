@@ -497,6 +497,8 @@ bool Coordinator::lease(std::uint64_t token) {
 void Coordinator::sync(const std::vector<std::pair<int, Placement>>& changed) {
   snapshot_.reset();
   if (changed.empty()) return;
+  obs::ObsSpan span("dist.sync");
+  span.arg("cells", changed.size());
   WireSync s;
   s.changed = changed;
   std::vector<std::uint8_t> frame =

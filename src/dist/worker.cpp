@@ -52,11 +52,37 @@ std::vector<int> incident_nets_of(const Design& d,
   return nets;
 }
 
+}  // namespace
+
+WindowSig replica_signature(const Design& replica, const WireRequest& rq,
+                            std::vector<int>& marks) {
+  DistOptOptions sig_opts;
+  sig_opts.lx = rq.job.lx;
+  sig_opts.ly = rq.job.ly;
+  sig_opts.allow_move = rq.job.allow_move;
+  sig_opts.allow_flip = rq.job.allow_flip;
+  sig_opts.rounding_fallback = rq.job.rounding_fallback;
+  sig_opts.greedy_fallback = rq.greedy_fallback;
+  sig_opts.params = rq.job.params;
+  sig_opts.mip = rq.job.mip;
+  for (int inst : rq.job.movable) marks[static_cast<std::size_t>(inst)] = 0;
+  WindowSig sig = window_signature(
+      replica, rq.job.window, rq.job.movable, marks, /*self=*/0,
+      incident_nets_of(replica, rq.job.movable),
+      fixed_site_mask(replica, rq.job.window, rq.job.movable), sig_opts);
+  for (int inst : rq.job.movable) marks[static_cast<std::size_t>(inst)] = -1;
+  return sig;
+}
+
+namespace {
+
 /// Validates, signature-checks, and solves one request of a batch,
 /// returning its reply-batch entry: a reply or a typed error. Returns
 /// nullopt when the reply_drop drill fired. Everything transport-level
 /// (reply frames, slow-loris/corrupt drills) stays with the caller.
+/// `marks` is the replica's ownership array (see replica_signature).
 std::optional<WireBatchEntry> process_request(const Design* design,
+                                              std::vector<int>& marks,
                                               const WireRequest& rq) {
   static obs::Counter& requests_metric = obs::counter("dist.worker.requests");
   static obs::Counter& desyncs_metric = obs::counter("dist.worker.desyncs");
@@ -108,19 +134,7 @@ std::optional<WireBatchEntry> process_request(const Design* design,
   // that can drift on a missed sync — movable placements, the fixed-site
   // mask, boundary pins — so a desynced replica is caught before it can
   // produce a subtly different (yet audit-clean) solution.
-  DistOptOptions sig_opts;
-  sig_opts.lx = rq.job.lx;
-  sig_opts.ly = rq.job.ly;
-  sig_opts.allow_move = rq.job.allow_move;
-  sig_opts.allow_flip = rq.job.allow_flip;
-  sig_opts.rounding_fallback = rq.job.rounding_fallback;
-  sig_opts.greedy_fallback = rq.greedy_fallback;
-  sig_opts.params = rq.job.params;
-  sig_opts.mip = rq.job.mip;
-  if (window_signature(*design, win, rq.job.movable,
-                       incident_nets_of(*design, rq.job.movable),
-                       fixed_site_mask(*design, win, rq.job.movable),
-                       sig_opts) != rq.expected_sig) {
+  if (replica_signature(*design, rq, marks) != rq.expected_sig) {
     desyncs_metric.add();
     span.arg("outcome", "desync");
     return fail(ErrorCode::kDesync,
@@ -183,6 +197,7 @@ bool send_reply_frame(int fd, std::vector<std::uint8_t> frame,
 /// the drill simulates. The frame-level drills are keyed on the first
 /// request, so a batch behaves like one big reply on the wire.
 bool handle_request_batch(int fd, const Design* design,
+                          std::vector<int>& marks,
                           const std::vector<std::uint8_t>& payload) {
   WireRequestBatch batch;
   try {
@@ -196,7 +211,8 @@ bool handle_request_batch(int fd, const Design* design,
   WireReplyBatch rb;
   rb.entries.reserve(batch.requests.size());
   for (const WireRequest& rq : batch.requests) {
-    if (std::optional<WireBatchEntry> e = process_request(design, rq)) {
+    if (std::optional<WireBatchEntry> e =
+            process_request(design, marks, rq)) {
       rb.entries.push_back(std::move(*e));
     }
   }
@@ -217,6 +233,7 @@ int run_worker(int fd, bool send_hello) {
   }
 
   std::optional<Design> design;
+  std::vector<int> marks;  ///< replica-sized, all -1 between requests
   std::vector<std::uint8_t> rbuf;
   std::uint8_t chunk[1 << 16];
   for (;;) {
@@ -238,6 +255,8 @@ int run_worker(int fd, bool send_hello) {
       case MsgType::kBindDesign:
         try {
           design.emplace(decode_design(f->payload));
+          marks.assign(
+              static_cast<std::size_t>(design->netlist().num_instances()), -1);
           log_debug("vm1_worker: bound design '", design->name(), "' (",
                     design->netlist().num_instances(), " instances)");
         } catch (const WireError& e) {
@@ -264,7 +283,7 @@ int run_worker(int fd, bool send_hello) {
         }
         break;
       case MsgType::kRequestBatch:
-        if (!handle_request_batch(fd, design ? &*design : nullptr,
+        if (!handle_request_batch(fd, design ? &*design : nullptr, marks,
                                   f->payload)) {
           return 1;
         }

@@ -24,10 +24,23 @@
 /// state besides the fault config the requests carry.
 #pragma once
 
+#include <vector>
+
+#include "dist/wire.h"
+
 namespace vm1::dist {
 
 /// Serves requests on `fd` until kShutdown/EOF (returns 0), an
 /// unrecoverable stream error (returns 2), or a dead peer (returns 1).
 int run_worker(int fd, bool send_hello = true);
+
+/// The signature a worker recomputes for `rq` over its replica (under the
+/// current fault::config(), which the worker sets from the request first):
+/// window_signature with the request's movable cells marked as the
+/// window's own on `marks` for the call. `marks` is sized for the replica
+/// and all -1 on entry and on return; every movable id must be in range.
+/// Equals dist_opt's signature of the same window on the same design.
+WindowSig replica_signature(const Design& replica, const WireRequest& rq,
+                            std::vector<int>& marks);
 
 }  // namespace vm1::dist

@@ -6,9 +6,15 @@ namespace vm1 {
 
 int Netlist::add_instance(const std::string& name, int cell) {
   assert(cell >= 0 && cell < lib_->num_cells());
+  const Cell& c = lib_->cell(cell);
   instances_.push_back(Instance{name, cell});
-  pin_net_.emplace_back(lib_->cell(cell).pins.size(), -1);
+  pin_net_.emplace_back(c.pins.size(), -1);
   inst_nets_.emplace_back();
+  pin_begin_.push_back(static_cast<int>(pin_offsets_.size()));
+  for (const PinInfo& p : c.pins) {
+    pin_offsets_.push_back(PinOffset{p.x_track, p.xmin, p.xmax, p.y_off,
+                                     static_cast<Coord>(c.width_sites)});
+  }
   return num_instances() - 1;
 }
 

@@ -41,6 +41,19 @@ struct IoTerminal {
   bool is_input = true;  ///< drives the net (true) or sinks it (false)
 };
 
+/// Access geometry of one instance pin, relative to the unflipped cell
+/// origin: the master's PinInfo offsets plus the master's width in sites
+/// (the flip mirrors about it). Netlist::add_instance copies these from the
+/// library, so a pin read is one flat lookup; library cells are immutable
+/// once added, so the copy never goes stale.
+struct PinOffset {
+  Coord x_track = 0;
+  Coord xmin = 0;
+  Coord xmax = 0;
+  Coord y_off = 0;
+  Coord width = 0;
+};
+
 /// Netlist over a fixed Library. Connectivity is stored both as net->pins
 /// and instance-pin->net for O(1) lookups.
 class Netlist {
@@ -69,6 +82,11 @@ class Netlist {
   /// Net connected at (inst, pin); -1 when unconnected.
   int net_at(int inst, int pin) const { return pin_net_[inst][pin]; }
 
+  /// Geometry of (inst, pin), copied from the master by add_instance.
+  const PinOffset& pin_offset(int inst, int pin) const {
+    return pin_offsets_[static_cast<std::size_t>(pin_begin_[inst] + pin)];
+  }
+
   /// Distinct nets incident to an instance, in first-connection order.
   /// Maintained incrementally by connect(); O(1) query.
   const std::vector<int>& nets_of(int inst) const { return inst_nets_[inst]; }
@@ -87,6 +105,10 @@ class Netlist {
   std::vector<IoTerminal> ios_;
   std::vector<std::vector<int>> pin_net_;    ///< [inst][pin] -> net or -1
   std::vector<std::vector<int>> inst_nets_;  ///< [inst] -> distinct nets
+  /// Every instance's pins back to back; instance i's start at
+  /// pin_begin_[i].
+  std::vector<PinOffset> pin_offsets_;
+  std::vector<int> pin_begin_;
 };
 
 }  // namespace vm1

@@ -34,7 +34,9 @@
 #include "core/incremental.h"
 #include "core/vm1opt.h"
 #include "design/legality.h"
+#include "core/window.h"
 #include "dist/coordinator.h"
+#include "dist/worker.h"
 #include "place/global_placer.h"
 #include "place/legalizer.h"
 #include "util/fault_injection.h"
@@ -74,6 +76,69 @@ TEST(HashPrimitives, DefaultEpochIsStableWithinABuild) {
   // binary always agree).
   EXPECT_EQ(cache::default_epoch(), cache::default_epoch());
   EXPECT_NE(cache::default_epoch(), 0u);
+}
+
+// The signature keys the store, and a worker recomputes it to prove its
+// replica agrees: dist_opt decides a pin's ownership through the grid's
+// per-instance window index, the worker through its request's movable list
+// marked on a replica-sized array. Every window of a pass must sign the
+// same both ways.
+TEST(WindowSignature, WorkerAndPassAgree) {
+  const CellArch archs[] = {CellArch::kConventional12T, CellArch::kClosedM1,
+                            CellArch::kOpenM1};
+  for (CellArch arch : archs) {
+    DesignOptions dopt;
+    dopt.scale = 0.5;
+    dopt.seed = 5;
+    Design d = make_design("tiny", arch, dopt);
+    global_place(d, GlobalPlaceOptions{});
+    legalize(d);
+    std::vector<int> marks(
+        static_cast<std::size_t>(d.netlist().num_instances()), -1);
+    int signed_windows = 0;
+    for (bool flip_pass : {false, true}) {
+      DistOptOptions o;
+      o.bw = 12;
+      o.bh = 2;
+      o.tx = flip_pass ? 6 : 0;
+      o.ty = flip_pass ? 1 : 0;
+      o.lx = flip_pass ? 0 : 3;
+      o.ly = flip_pass ? 0 : 1;
+      o.allow_move = !flip_pass;
+      o.allow_flip = flip_pass;
+      WindowGrid grid = partition_windows(d, o.tx, o.ty, o.bw, o.bh);
+      std::vector<std::vector<int>> nets =
+          window_incident_nets(grid, d.netlist());
+      std::vector<SiteMask> masks = window_fixed_masks(grid, d);
+      for (std::size_t w = 0; w < grid.windows.size(); ++w) {
+        if (grid.movable[w].empty()) continue;
+        const int widx = static_cast<int>(w);
+        dist::WireRequest rq;
+        rq.job.widx = widx;
+        rq.job.window = grid.windows[w];
+        rq.job.movable = grid.movable[w];
+        rq.job.lx = o.lx;
+        rq.job.ly = o.ly;
+        rq.job.allow_move = o.allow_move;
+        rq.job.allow_flip = o.allow_flip;
+        rq.job.rounding_fallback = o.rounding_fallback;
+        rq.job.params = o.params;
+        rq.job.mip = o.mip;
+        rq.greedy_fallback = o.greedy_fallback;
+        const WindowSig pass =
+            window_signature(d, grid.windows[w], grid.movable[w], grid.owner,
+                             widx, nets[w], masks[w], o);
+        EXPECT_EQ(dist::replica_signature(d, rq, marks), pass)
+            << to_string(arch) << (flip_pass ? " flip" : " move")
+            << " pass, window " << w;
+        ++signed_windows;
+      }
+    }
+    EXPECT_GT(signed_windows, 10) << to_string(arch);
+    EXPECT_TRUE(std::all_of(marks.begin(), marks.end(),
+                            [](int m) { return m == -1; }))
+        << "replica_signature must leave its marks cleared";
+  }
 }
 
 // ---------------------------------------------------------------------------

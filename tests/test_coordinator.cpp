@@ -179,7 +179,7 @@ PreparedWindow prepare_window(const Design& d, const DistOptOptions& o) {
   pw.request.greedy_fallback = o.greedy_fallback;
   pw.request.faults = fault::config();
   pw.request.expected_sig = window_signature(
-      d, pw.job.window, pw.job.movable, nets[widx],
+      d, pw.job.window, pw.job.movable, grid.owner, widx, nets[widx],
       fixed_site_mask(d, pw.job.window, pw.job.movable), o);
   return pw;
 }
@@ -591,7 +591,7 @@ PreparedBatch prepare_batch(const Design& d, const DistOptOptions& o,
     rj.result = &b.results[i];
     rj.greedy_fallback = o.greedy_fallback;
     rj.expected_sig = window_signature(
-        d, b.jobs[i].window, b.jobs[i].movable,
+        d, b.jobs[i].window, b.jobs[i].movable, grid.owner, b.jobs[i].widx,
         nets[static_cast<std::size_t>(b.jobs[i].widx)],
         fixed_site_mask(d, b.jobs[i].window, b.jobs[i].movable), o);
     b.remote.push_back(rj);

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+
+#include "cells/library_builder.h"
+
 namespace vm1 {
 namespace {
 
@@ -97,6 +103,55 @@ TEST(Design, UtilizationKnob) {
   Design dl = make_design("tiny", CellArch::kClosedM1, lo);
   Design dh = make_design("tiny", CellArch::kClosedM1, hi);
   EXPECT_LT(dl.utilization(), dh.utilization());
+}
+
+// Design's pin accessors read the netlist's flat copy of each master's pin
+// offsets; they must equal the Cell formulas for every pin of every master
+// of every architecture, flipped and unflipped, at any origin.
+TEST(PinGeometry, FlatOffsetsMatchTheMaster) {
+  const CellArch archs[] = {CellArch::kConventional12T, CellArch::kClosedM1,
+                            CellArch::kOpenM1};
+  for (CellArch arch : archs) {
+    auto lib = std::make_unique<Library>(build_library(arch));
+    auto nl = std::make_unique<Netlist>(lib.get());
+    for (int c = 0; c < lib->num_cells(); ++c) {
+      nl->add_instance(lib->cell(c).name, c);
+    }
+    Design d("masters", Tech::make_7nm(), std::move(lib), std::move(nl), 8,
+             64);
+    const Netlist& n = d.netlist();
+    const Coord sw = d.tech().site_width();
+    const Coord rh = d.tech().row_height();
+    int pins = 0;
+    int flipped_shifted = 0;
+    for (int i = 0; i < n.num_instances(); ++i) {
+      const Cell& c = n.cell_of(i);
+      for (bool flipped : {false, true}) {
+        const Placement pl{3 + i % 29, i % 8, flipped};
+        d.set_placement(i, pl);
+        const Coord x0 = static_cast<Coord>(pl.x) * sw;
+        const Coord y0 = static_cast<Coord>(pl.row) * rh;
+        for (int p = 0; p < static_cast<int>(c.pins.size()); ++p) {
+          const std::string where = std::string(to_string(arch)) + " " +
+                                    c.name + " pin " + c.pins[p].name +
+                                    (flipped ? " flipped" : "");
+          const Point pos = d.pin_position(NetPin{i, p});
+          EXPECT_EQ(pos.x, x0 + c.pin_x_track(p, flipped)) << where;
+          EXPECT_EQ(pos.y, y0 + c.pins[p].y_off) << where;
+          EXPECT_EQ(d.pin_y_abs(i, p), y0 + c.pins[p].y_off) << where;
+          const auto [lo, hi] = c.pin_span(p, flipped);
+          EXPECT_EQ(d.pin_span_abs(i, p), std::make_pair(x0 + lo, x0 + hi))
+              << where;
+          ++pins;
+          if (flipped && c.pin_x_track(p, true) != c.pin_x_track(p, false)) {
+            ++flipped_shifted;
+          }
+        }
+      }
+    }
+    EXPECT_GT(pins, 100) << to_string(arch);
+    EXPECT_GT(flipped_shifted, 0) << to_string(arch) << ": no pin moves on flip";
+  }
 }
 
 }  // namespace

@@ -334,14 +334,15 @@ TEST(WindowSignature, PinnedForAFixedWindow) {
   o.mip.lp_options.time_limit_sec = 0;
   o.mip.lp_options.tol = 1e-7;
   o.mip.lp_options.pivot_tol = 1e-9;
+  const int self = static_cast<int>(w);
   WindowSig move = window_signature(d, grid.windows[w], grid.movable[w],
-                                    nets[w], masks[w], o);
+                                    grid.owner, self, nets[w], masks[w], o);
   o.lx = 0;
   o.ly = 0;
   o.allow_move = false;
   o.allow_flip = true;
   WindowSig flip = window_signature(d, grid.windows[w], grid.movable[w],
-                                    nets[w], masks[w], o);
+                                    grid.owner, self, nets[w], masks[w], o);
   fault::set_config(saved);
 
   EXPECT_EQ(move.a, 0x2749d57a8e4b0486ULL);
