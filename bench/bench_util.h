@@ -19,6 +19,7 @@
 #include "core/dist_opt.h"
 #include "core/flow.h"
 #include "io/report.h"
+#include "lp/kernels.h"
 #include "obs/metrics.h"
 #include "util/json_writer.h"
 #include "util/stats.h"
@@ -111,15 +112,17 @@ inline void write_run_metadata(JsonWriter& jw) {
   jw.field("hardware_threads",
            static_cast<long>(std::thread::hardware_concurrency()));
   jw.field("build_type", VM1_BUILD_TYPE);
+  jw.field("lp_kernels", lp::kernel_isa());
   jw.end_object();
 }
 
 /// Stdout twin of write_run_metadata for benches without a JSON file, so
 /// every captured bench log is attributable too.
 inline void print_run_header(const char* bench) {
-  std::printf("%s: git %s, source %s, %s, %u hw threads, build %s\n", bench,
-              VM1_GIT_SHA, VM1_SOURCE_DIGEST, iso_timestamp_utc().c_str(),
-              std::thread::hardware_concurrency(), VM1_BUILD_TYPE);
+  std::printf(
+      "%s: git %s, source %s, %s, %u hw threads, build %s, LP kernels %s\n",
+      bench, VM1_GIT_SHA, VM1_SOURCE_DIGEST, iso_timestamp_utc().c_str(),
+      std::thread::hardware_concurrency(), VM1_BUILD_TYPE, lp::kernel_isa());
 }
 
 /// Dumps the global metric registry (counters, gauges, latency histograms

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "lp/kernels.h"
 #include "obs/metrics.h"
 
 namespace vm1::lp::detail {
@@ -14,9 +15,6 @@ namespace {
 // and keeping them moves the inverse, and with it the pivot sequence, in
 // its last bits.
 constexpr double kDropTol = 1e-13;
-// Floor of an updated steepest-edge weight: cancellation in the recurrence
-// must never leave a zero or negative norm for the pricing to divide by.
-constexpr double kMinWeight = 1e-12;
 }  // namespace
 
 void EtaFactor::exact_weights() {
@@ -207,13 +205,7 @@ void EtaFactor::ftran(double* x) const {
   // y = B^-1 x as a sum of scaled inverse columns; the loads/stores are
   // contiguous and entering columns are sparse, so most j are skipped.
   double* y = fscratch_.data();
-  std::fill(y, y + m_, 0.0);
-  for (int j = 0; j < m_; ++j) {
-    const double xj = x[j];
-    if (xj == 0.0) continue;
-    const double* col = inv_.data() + static_cast<std::size_t>(j) * m_;
-    for (int i = 0; i < m_; ++i) y[i] += xj * col[i];
-  }
+  kernels().ftran(inv_.data(), m_, x, y);
   std::copy(y, y + m_, x);
 }
 
@@ -242,53 +234,21 @@ void EtaFactor::btran(double* x) const {
       y[j] = s;
     }
   } else {
-    for (int j = 0; j < m_; ++j) {
-      const double* col = inv_.data() + static_cast<std::size_t>(j) * m_;
-      double s = 0;
-      for (int i = 0; i < m_; ++i) s += col[i] * x[i];
-      y[j] = s;
-    }
+    kernels().dense_btran(inv_.data(), m_, x, y);
   }
   std::copy(y, y + m_, x);
 }
 
 bool EtaFactor::append(int row, const double* alpha, const double* rho,
                        double pivot_tol) {
-  const double vp = alpha[row];
-  if (std::abs(vp) < pivot_tol) return false;
+  if (std::abs(alpha[row]) < pivot_tol) return false;
   // Eager product-form update: B'^-1 = E B^-1 applied column by column as a
   // rank-1 outer product. rho[c] is column c's entry in row `row`, so
-  // columns where it is zero are untouched (t == 0 leaves every element,
-  // including row `row`, as-is). The same pass sums tau = B^-1 rho from the
-  // columns before they change: tau_i is row i's inner product with row
-  // `row`.
-  const double inv_piv = 1.0 / vp;
-  double* tau = fscratch_.data();
-  std::fill(tau, tau + m_, 0.0);
-  double rho_norm2 = 0;
-  for (int c = 0; c < m_; ++c) {
-    const double rc = rho[c];
-    if (rc == 0.0) continue;
-    rho_norm2 += rc * rc;
-    const double t = rc * inv_piv;
-    double* col = inv_.data() + static_cast<std::size_t>(c) * m_;
-    for (int i = 0; i < m_; ++i) {
-      const double v = col[i];
-      tau[i] += v * rc;
-      col[i] = v - alpha[i] * t;
-    }
-    col[row] = t;
-  }
-  // Row i of the new inverse is rho_i - (alpha_i / alpha_r) rho, and row
-  // `row` is rho / alpha_r, which expands the squared norms as below.
-  double* w = w_.data();
-  for (int i = 0; i < m_; ++i) {
-    const double ratio = alpha[i] * inv_piv;
-    if (ratio == 0.0) continue;
-    const double wi = w[i] - 2.0 * ratio * tau[i] + ratio * ratio * rho_norm2;
-    w[i] = std::max(wi, kMinWeight);
-  }
-  w[row] = std::max(rho_norm2 * inv_piv * inv_piv, kMinWeight);
+  // columns where it is zero are untouched. The same pass sums
+  // tau = B^-1 rho, which the weights' recurrence needs, from the columns
+  // before they change.
+  kernels().pivot_update(inv_.data(), w_.data(), m_, row, alpha, rho,
+                         fscratch_.data());
   ++updates_;
   return true;
 }

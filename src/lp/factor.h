@@ -11,10 +11,18 @@
 /// simplex pivot applies its product-form update (the eta of the FTRANed
 /// entering column, the rank-1 special case of Forrest-Tomlin) eagerly as a
 /// rank-1 outer product over contiguous columns, and FTRAN/BTRAN are dense
-/// column passes the compiler vectorizes. No eta chain accumulates, so a
-/// pivot costs O(m^2) however many pivots separate refactorizations, and the
-/// owner refactorizes only for numerical hygiene or when a consistency check
-/// fails. The inverse takes 8 m^2 bytes, which lp::kMaxRows bounds.
+/// column passes. No eta chain accumulates, so a pivot costs O(m^2) however
+/// many pivots separate refactorizations, and the owner refactorizes only
+/// for numerical hygiene or when a consistency check fails. The inverse
+/// takes 8 m^2 bytes, which lp::kMaxRows bounds.
+///
+/// The pivot update, FTRAN and the dense BTRAN run as kernels
+/// (lp/kernels.h). The update and FTRAN take four nonzero columns per pass
+/// over the rows, the BTRAN four interleaved dot products. Each is compiled
+/// portably and, on x86-64, for AVX2; the process picks the AVX2 set once if
+/// the CPU has it. Both sets give the bits of one-column loops: they
+/// vectorize only across independent elements, add every sum in the
+/// one-column order and never fuse a multiply-add.
 ///
 /// The factor also owns the dual steepest-edge weights w_i = ||e_i^T B^-1||^2,
 /// the squared row norms of the inverse that the dual simplex prices its
